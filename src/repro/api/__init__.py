@@ -256,7 +256,6 @@ def run_campaign(
     journal: str,
     config: Optional[CampaignConfig] = None,
     workers: int = 1,
-    parallel: Optional[ParallelConfig] = None,
 ) -> CampaignResult:
     """Run the full pair+triplet estimation sweep as a durable campaign.
 
@@ -266,19 +265,17 @@ def run_campaign(
     result carries the assembled model (or None when stopped early)
     plus an explicit coverage/degraded report.
 
-    With ``workers > 1`` (or an explicit ``parallel`` config) the sweep
-    is sharded across supervised worker processes
-    (:mod:`repro.estimation.parallel`): units run under time-bounded
-    leases, crashed or straggling workers are reclaimed, and the
-    per-worker journals are deterministically merged back into the
-    canonical journal at ``journal`` — the result is bit-identical to
-    the serial run with the same seed.
+    With ``workers > 1`` the sweep runs on a pool of ``workers``
+    processes (:mod:`repro.estimation.parallel`), one task per
+    node-locality group of units.  Units a lost or hung pool did not
+    land are re-run, and the per-worker journals are deterministically
+    merged back into the canonical journal at ``journal`` — the result
+    is bit-identical to the serial run with the same seed.
     """
-    if workers > 1 or parallel is not None:
-        if parallel is None:
-            parallel = ParallelConfig(workers=workers)
+    if workers > 1:
         return ParallelCampaign.start(
-            recipe_for_cluster(cluster), journal, config=config, parallel=parallel
+            recipe_for_cluster(cluster), journal, config=config,
+            parallel=ParallelConfig(workers=workers),
         ).run()
     return Campaign.start(DESEngine(cluster), journal, config=config).run()
 
@@ -290,7 +287,6 @@ def resume_campaign(
     max_sim_seconds: Optional[float] = None,
     max_repetitions: Optional[int] = None,
     workers: int = 1,
-    parallel: Optional[ParallelConfig] = None,
 ) -> CampaignResult:
     """Continue an interrupted campaign from its journal.
 
@@ -302,17 +298,15 @@ def resume_campaign(
 
     A parallel campaign's sharded journal set (no canonical file yet,
     but a ``.coord`` journal next to it) is resumed through the
-    parallel executor — ``workers`` then sizes the fresh fleet.  A
+    parallel executor — ``workers`` then sizes the fresh pool.  A
     serial (or already-merged) journal resumes serially; its remaining
-    units are the stragglers, not worth a fleet.
+    units are the stragglers, not worth a pool.
     """
     if parallel_shards_exist(journal) and not os.path.exists(journal):
-        if parallel is None:
-            parallel = ParallelConfig(workers=max(1, workers))
         return ParallelCampaign.resume(
             recipe_for_cluster(cluster),
             journal,
-            parallel=parallel,
+            parallel=ParallelConfig(workers=max(1, workers)),
             max_wall_seconds=max_wall_seconds,
             max_sim_seconds=max_sim_seconds,
             max_repetitions=max_repetitions,

@@ -1270,8 +1270,8 @@ def build_parser() -> argparse.ArgumentParser:
     camp_workers.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the sweep (default 1 = serial in-process; "
-             "N > 1 shards units by node-triplet across supervised workers "
-             "under time-bounded leases — same model bit-for-bit)")
+             "N > 1 runs node-triplet unit groups on a pool of N worker "
+             "processes — same model bit-for-bit)")
     p_camp_run = camp_sub.add_parser(
         "run", help="start a fresh campaign (journal must not exist)",
         parents=[common, camp_budgets, camp_io, camp_workers, metrics])

@@ -67,7 +67,6 @@ from repro.estimation.parallel import (
     ChaosKill,
     DESEngineRecipe,
     EngineRecipe,
-    LeasePolicy,
     ParallelCampaign,
     ParallelConfig,
     merge_worker_journals,
@@ -123,7 +122,6 @@ __all__ = [
     "HockneyEstimationResult",
     "ProbeSensitivity",
     "LMOEstimationResult",
-    "LeasePolicy",
     "LogPEstimationResult",
     "MaintainerPolicy",
     "ModelMaintainer",

@@ -1,5 +1,5 @@
-"""Fault-tolerant parallel campaign executor: supervised workers, leases,
-deterministic journal merge.
+"""Parallel campaign executor: a process pool over node-locality groups,
+per-worker journals, deterministic journal merge.
 
 The estimation sweep (paper eqs. 6-12) is a set of *independent* units —
 pair roundtrips and triplet one-to-two experiments — each of which draws
@@ -9,52 +9,51 @@ purity is what PR 3's crash-resume determinism rests on, and it is also
 what makes the sweep parallelizable without losing it: *which process*
 measures a unit, and *when*, cannot change its value.
 
-This module runs the sweep across worker processes while keeping every
+This module runs the sweep on a
+:class:`concurrent.futures.ProcessPoolExecutor` while keeping every
 durability property of the serial path:
 
 * the **coordinator** shards units into node-locality groups (the units
   of one pair or one triplet stay together — mirroring the logical-
-  cluster decomposition of Estefanel & Mounié) and hands groups to
-  workers under time-bounded **leases** that are renewed by progress;
-* each **worker** is a separate process that rebuilds its engine from a
-  picklable :class:`EngineRecipe`, executes leased units through the
-  *same* :class:`~repro.estimation.campaign.Campaign` unit executor the
-  serial path uses, and appends to its own write-ahead journal
-  (:mod:`repro.estimation.journal`, unchanged — torn tails included);
-* a **supervisor** loop tracks worker liveness and lease progress: a
-  dead worker (crashed process) or an expired lease (hung or straggling
-  worker) has its in-flight units reclaimed and reassigned with bounded
-  retry and exponential backoff; units that keep burning workers are
-  quarantined through the breaker board instead of being retried
-  forever;
+  cluster decomposition of Estefanel & Mounié) and submits one task per
+  group;
+* each pool **worker** builds its engine once from a picklable
+  :class:`EngineRecipe`, opens its own write-ahead journal
+  (:mod:`repro.estimation.journal`, unchanged — torn tails included),
+  and runs every task's units through the *same*
+  :class:`~repro.estimation.campaign.Campaign` unit executor the serial
+  path uses;
+* the coordinator watches **progress**: a pool that breaks (a worker
+  process died) or lands nothing for :data:`PROGRESS_DEADLINE` seconds
+  (a hung worker) is killed.  The worker journals say which units
+  landed; the rest go to a fresh pool if the lost one landed at least
+  one unit, and are otherwise left to the serial finish below;
 * a deterministic **merge** step orders the per-worker journals back
   into canonical unit order, deduplicates double-measured units (their
   payloads are bit-identical by construction; differing payloads are
   corruption), and writes a canonical journal at the campaign path that
   replays exactly like a serial run's.  The final model, coverage
   report and breaker board are then *re-derived from that journal* by
-  the serial replay path, so the merged result is bit-identical to an
-  uninterrupted serial run with the same seed — by construction, not by
-  bookkeeping.
+  the serial replay path, which also measures any unit the fleet never
+  landed, so the merged result is bit-identical to an uninterrupted
+  serial run with the same seed — by construction, not by bookkeeping.
 
 Crash-resume works on the sharded set: if the coordinator dies, the
 coordinator journal plus the per-worker journals are enough for
 :meth:`ParallelCampaign.resume` (``repro campaign resume --workers N``)
-to fold what was measured and finish the rest with a fresh fleet.
+to fold what was measured and finish the rest with a fresh pool.
 """
 
 from __future__ import annotations
 
 import glob as _glob
 import json
-import multiprocessing as mp
 import os
 import queue as _queue
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Sequence
+from typing import Any, Container, Optional, Sequence
 
 from repro.cluster.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.cluster.machine import SimulatedCluster
@@ -91,7 +90,6 @@ __all__ = [
     "ChaosKill",
     "DESEngineRecipe",
     "EngineRecipe",
-    "LeasePolicy",
     "ParallelCampaign",
     "ParallelConfig",
     "coordinator_path",
@@ -105,7 +103,16 @@ __all__ = [
 #: Exit code a chaos-killed worker dies with (distinguishable in tests).
 CHAOS_EXIT_CODE = 137
 
+#: Seconds a pool may go without landing a unit before it is killed as hung.
+PROGRESS_DEADLINE = 30.0
+
 _UNIT_RECORD_TYPES = ("experiment_done", "experiment_failed", "experiment_skipped")
+
+#: What a pool task reports per unit: ``(index, outcome, cost)``.
+_UnitResult = tuple[int, str, dict[str, float]]
+
+#: How a pool can be lost (the ``reason`` of ``worker_dead`` records).
+_POOL_FAILURES = ("worker_died", "progress_deadline")
 
 
 # -- engine recipes --------------------------------------------------------------
@@ -181,76 +188,14 @@ def recipe_for_cluster(cluster: SimulatedCluster) -> DESEngineRecipe:
 
 # -- configuration ---------------------------------------------------------------
 @dataclass(frozen=True)
-class LeasePolicy:
-    """How leases are granted, renewed, expired and retried.
-
-    A lease covers up to ``groups_per_lease`` unit groups and must show
-    *progress* (a completed unit) every ``lease_seconds`` — progress
-    renews the deadline, so a long lease on a healthy worker never
-    expires, while a hung worker (heartbeats fine, no units landing)
-    does.  Workers heartbeat every ``heartbeat_seconds``; a heartbeat
-    older than ``stale_after`` marks the worker stale on the metrics and
-    alerting side.  Reclaimed units are reassigned at most
-    ``max_unit_retries`` times, with exponential backoff
-    (``reassign_backoff * 2**(retries-1)`` seconds) between attempts;
-    beyond that the unit is quarantined through the breaker board.  Dead
-    workers are replaced while unassigned work remains, up to
-    ``max_worker_respawns`` replacements.
-    """
-
-    lease_seconds: float = 30.0
-    heartbeat_seconds: float = 0.5
-    stale_after: float = 3.0
-    groups_per_lease: int = 2
-    max_unit_retries: int = 3
-    reassign_backoff: float = 0.1
-    max_worker_respawns: int = 8
-
-    def __post_init__(self) -> None:
-        for name in ("lease_seconds", "heartbeat_seconds", "stale_after"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        if self.groups_per_lease < 1:
-            raise ValueError(
-                f"groups_per_lease must be >= 1, got {self.groups_per_lease}"
-            )
-        if self.max_unit_retries < 0:
-            raise ValueError(
-                f"max_unit_retries must be >= 0, got {self.max_unit_retries}"
-            )
-        if self.reassign_backoff < 0:
-            raise ValueError(
-                f"reassign_backoff must be >= 0, got {self.reassign_backoff}"
-            )
-        if self.max_worker_respawns < 0:
-            raise ValueError(
-                f"max_worker_respawns must be >= 0, got {self.max_worker_respawns}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "lease_seconds": self.lease_seconds,
-            "heartbeat_seconds": self.heartbeat_seconds,
-            "stale_after": self.stale_after,
-            "groups_per_lease": self.groups_per_lease,
-            "max_unit_retries": self.max_unit_retries,
-            "reassign_backoff": self.reassign_backoff,
-            "max_worker_respawns": self.max_worker_respawns,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "LeasePolicy":
-        return cls(**doc)
-
-
-@dataclass(frozen=True)
 class ChaosKill:
     """Test-only chaos: worker ``worker`` dies mid-unit after ``after_units``.
 
     The worker journals ``experiment_started`` for its next unit (plus an
     optional torn half-record) and then ``os._exit``\\ s — the hardest
-    crash shape the merge and resume paths must survive.
+    crash shape the merge and resume paths must survive.  Worker ids
+    count up across every pool of a campaign, in the order the workers
+    start.
     """
 
     worker: int
@@ -271,10 +216,6 @@ class ParallelConfig:
     and is shared verbatim with every worker."""
 
     workers: int = 2
-    lease: LeasePolicy = field(default_factory=LeasePolicy)
-    #: multiprocessing start method; None picks "fork" where available
-    #: (much cheaper) with "spawn" as the portable fallback.
-    start_method: Optional[str] = None
     #: Test-only chaos: kill specific workers mid-unit.
     chaos_kills: tuple[ChaosKill, ...] = ()
     #: Test-only chaos: the *coordinator* dies (SimulatedCrash) after this
@@ -298,15 +239,19 @@ def coordinator_path(path: str) -> str:
     return path + ".coord"
 
 
-def worker_journal_paths(path: str) -> list[str]:
-    """Every per-worker journal of campaign ``path``, in spawn order."""
+def _worker_journals(path: str) -> list[tuple[int, str]]:
     prefix = path + ".w"
     found = []
     for candidate in _glob.glob(_glob.escape(prefix) + "*"):
         suffix = candidate[len(prefix):]
         if suffix.isdigit():
             found.append((int(suffix), candidate))
-    return [candidate for _seq, candidate in sorted(found)]
+    return sorted(found)
+
+
+def worker_journal_paths(path: str) -> list[str]:
+    """Every per-worker journal of campaign ``path``, in worker-id order."""
+    return [candidate for _id, candidate in _worker_journals(path)]
 
 
 def parallel_shards_exist(path: str) -> bool:
@@ -320,8 +265,8 @@ def _shard_groups(experiments: Sequence[Any]) -> list[list[int]]:
 
     The two roundtrips of a pair, and the six rooted one-to-two probes of
     a triplet, land in one group — the same locality the logical-cluster
-    decomposition gives — and the group is the atom of lease assignment.
-    Every experiment index appears in exactly one group; groups and their
+    decomposition gives — and the group is one pool task.  Every
+    experiment index appears in exactly one group; groups and their
     members preserve canonical unit order.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -330,101 +275,118 @@ def _shard_groups(experiments: Sequence[Any]) -> list[list[int]]:
     return list(groups.values())
 
 
-# -- the worker process ----------------------------------------------------------
-def _worker_main(
-    worker_id: int,
-    recipe: EngineRecipe,
-    journal_path: str,
-    header: dict[str, Any],
-    config_doc: dict[str, Any],
-    task_q: Any,
-    result_q: Any,
-    heartbeat_seconds: float,
-    chaos: Optional[ChaosKill],
-) -> None:
-    """Run leased unit groups until told to stop (module-level for spawn).
+def _without(groups: list[list[int]], units: Container[int]) -> list[list[int]]:
+    """``groups`` minus ``units``, dropping groups left empty."""
+    kept = ([idx for idx in group if idx not in units] for group in groups)
+    return [group for group in kept if group]
 
-    Units are executed through the serial :class:`Campaign` unit executor
-    — the same measurement, journaling and screening code path — against
-    the worker's own write-ahead journal and a worker-local breaker
-    board.  Telemetry is disabled in the worker: the coordinator owns the
-    campaign's metrics, and the worker journals are the durable truth.
-    """
-    _obs.disable()
-    config = CampaignConfig.from_dict(config_doc)
-    engine = recipe.build()
-    n = int(header["n"])
+
+def _header_schedule(
+    header: dict[str, Any], config: CampaignConfig
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]], list[Any]]:
+    """``(pairs, base_triplets, experiments)`` of a journal header."""
     triplets = header.get("triplets")
-    pairs, base_triplets, experiments = _build_schedule(
-        n, config.probe_nbytes,
+    return _build_schedule(
+        int(header["n"]), config.probe_nbytes,
         [tuple(t) for t in triplets] if triplets is not None else None,
     )
+
+
+# -- the pool worker -------------------------------------------------------------
+@dataclass
+class _Worker:
+    """What the pool initializer builds once per worker process."""
+
+    worker_id: int
+    runner: Campaign
+    chaos: Optional[ChaosKill]
+    units_done: int = 0
+
+
+#: This process's worker state; set by :func:`_init_worker` in pool workers.
+_WORKER: Optional[_Worker] = None
+
+
+def _init_worker(
+    recipe: EngineRecipe,
+    path: str,
+    header: dict[str, Any],
+    config_doc: dict[str, Any],
+    next_id: Any,
+    chaos_kills: tuple[ChaosKill, ...],
+) -> None:
+    """Pool initializer: claim a worker id, build the engine, open ``path.wK``.
+
+    Units run through the serial :class:`Campaign` unit executor — the
+    same measurement, journaling and screening code path — against the
+    worker's own write-ahead journal and a worker-local breaker board.
+    Telemetry is disabled in the worker: the coordinator owns the
+    campaign's metrics, and the worker journals are the durable truth.
+    """
+    global _WORKER
+    _obs.disable()
+    with next_id.get_lock():
+        worker_id = int(next_id.value)
+        next_id.value = worker_id + 1
+    config = CampaignConfig.from_dict(config_doc)
+    n = int(header["n"])
+    pairs, base_triplets, experiments = _header_schedule(header, config)
     journal = CampaignJournal.create(
-        journal_path, {**header, "worker": worker_id}, fsync=config.fsync
+        f"{path}.w{worker_id}", {**header, "worker": worker_id}, fsync=config.fsync
     )
     runner = Campaign(
-        engine, journal, config, pairs, base_triplets, experiments,
+        recipe.build(), journal, config, pairs, base_triplets, experiments,
         _ReplayedState(), BreakerBoard(n, policy=config.breaker),
     )
+    chaos = next((c for c in chaos_kills if c.worker == worker_id), None)
+    _WORKER = _Worker(worker_id, runner, chaos)
 
-    stop_beat = threading.Event()
 
-    def _beat() -> None:
-        while not stop_beat.wait(heartbeat_seconds):
-            try:
-                result_q.put(("heartbeat", worker_id, time.time()))
-            except Exception:  # queue torn down under us: we are dying anyway
-                return
+def _run_group(indices: list[int]) -> tuple[int, list[_UnitResult]]:
+    """Pool task: measure one unit group in this worker.
 
-    threading.Thread(target=_beat, daemon=True).start()
-    result_q.put(("hello", worker_id, os.getpid(), time.time()))
-    units_done = 0
-    try:
-        while True:
-            msg = task_q.get()
-            if msg[0] == "stop":
-                break
-            _kind, lease_id, indices = msg
-            for index in indices:
-                if (
-                    chaos is not None
-                    and chaos.worker == worker_id
-                    and units_done >= chaos.after_units
-                ):
-                    # Die mid-unit: the intent record is durably journaled,
-                    # the outcome never lands — exactly an OOM kill between
-                    # write-ahead and completion.
-                    journal.append({
-                        "type": "experiment_started",
-                        "index": index,
-                        "experiment": _experiment_to_dict(experiments[index]),
-                    })
-                    if chaos.torn_tail:
-                        with open(journal_path, "a") as handle:
-                            handle.write('{"type": "experiment_done", "ind')
-                    os._exit(CHAOS_EXIT_CODE)
-                state = runner.state
-                before = (state.repetitions, state.sim_time, state.wall_time)
-                outcome = runner._process_unit(index)
-                units_done += 1
-                result_q.put((
-                    "unit", worker_id, lease_id, index, outcome,
-                    {
-                        "attempts": state.repetitions - before[0],
-                        "sim_cost": state.sim_time - before[1],
-                        "wall_cost": state.wall_time - before[2],
-                    },
-                    time.time(),
-                ))
-            result_q.put(("lease_done", worker_id, lease_id, time.time()))
-    except SimulatedCrash:
-        # A ProcessCrash fault plan in the worker's recipe fired: die the
-        # way a real OOM-killed worker would, journal intact.
-        os._exit(CHAOS_EXIT_CODE)
-    finally:
-        stop_beat.set()
-        journal.close()
-    result_q.put(("bye", worker_id, time.time()))
+    Returns the worker id and, per unit, ``(index, outcome, cost)``.
+    """
+    worker = _WORKER
+    assert worker is not None, "_run_group runs in initialized pool workers"
+    runner = worker.runner
+    state = runner.state
+    results: list[_UnitResult] = []
+    for index in indices:
+        chaos = worker.chaos
+        if chaos is not None and worker.units_done >= chaos.after_units:
+            # Die mid-unit: the intent record is durably journaled, the
+            # outcome never lands — exactly an OOM kill between
+            # write-ahead and completion.
+            runner.journal.append({
+                "type": "experiment_started",
+                "index": index,
+                "experiment": _experiment_to_dict(runner.experiments[index]),
+            })
+            if chaos.torn_tail:
+                with open(runner.journal.path, "a") as handle:
+                    handle.write('{"type": "experiment_done", "ind')
+            os._exit(CHAOS_EXIT_CODE)
+        before = (state.repetitions, state.sim_time, state.wall_time)
+        try:
+            outcome = runner._process_unit(index)
+        except SimulatedCrash:
+            # A ProcessCrash fault plan in the worker's recipe fired: die
+            # the way a real OOM-killed worker would, journal intact.
+            os._exit(CHAOS_EXIT_CODE)
+        worker.units_done += 1
+        results.append((index, outcome, {
+            "attempts": state.repetitions - before[0],
+            "sim_cost": state.sim_time - before[1],
+            "wall_cost": state.wall_time - before[2],
+        }))
+    return worker.worker_id, results
+
+
+def _kill_workers(pool: Any) -> None:
+    """SIGKILL every worker of ``pool``; the executor then breaks itself."""
+    for process in list((pool._processes or {}).values()):
+        process.kill()
 
 
 # -- merge -----------------------------------------------------------------------
@@ -454,10 +416,10 @@ def _collect_worker_units(path: str, header: dict[str, Any]) -> _MergedUnits:
 
     Worker journals are replayed with the standard torn-tail-tolerant
     replay; duplicate ``experiment_done`` records for the same unit are
-    legal across journals (a reclaimed lease re-measured the unit) *iff*
-    their payloads are identical up to the volatile cost fields (wall
-    clock, accumulated-time deltas) — determinism makes them so.  A
-    differing payload means two journals disagree about physics, which
+    legal across journals (a unit re-measured after its worker was lost)
+    *iff* their payloads are identical up to the volatile cost fields
+    (wall clock, accumulated-time deltas) — determinism makes them so.
+    A differing payload means two journals disagree about physics, which
     is corruption, not a race.
     """
     merged = _MergedUnits()
@@ -502,6 +464,20 @@ def _collect_worker_units(path: str, header: dict[str, Any]) -> _MergedUnits:
     return merged
 
 
+def _merged_board(
+    header: dict[str, Any], config: CampaignConfig, experiments: Sequence[Any],
+    merged: _MergedUnits,
+) -> BreakerBoard:
+    """The breaker board the merged outcomes give in canonical unit order."""
+    events = []
+    for index in range(len(experiments)):
+        outcome = merged.outcome(index)
+        if outcome is not None:
+            events.append((outcome, index))
+    with _obs.suppressed():  # replay is history, not live breaker activity
+        return _rebuild_board(int(header["n"]), config.breaker, events, experiments)
+
+
 def merge_worker_journals(path: str) -> tuple[int, int]:
     """Deterministically merge ``path``'s worker journals into ``path``.
 
@@ -520,11 +496,7 @@ def merge_worker_journals(path: str) -> tuple[int, int]:
     with _obs.span("campaign.parallel.merge", path=path):
         merged = _collect_worker_units(path, header)
         config = CampaignConfig.from_dict(header["config"])
-        triplets = header.get("triplets")
-        _pairs, _base, experiments = _build_schedule(
-            int(header["n"]), config.probe_nbytes,
-            [tuple(t) for t in triplets] if triplets is not None else None,
-        )
+        _pairs, _base, experiments = _header_schedule(header, config)
         canonical_header = {
             k: v for k, v in header.items() if k not in ("role", "parallel")
         }
@@ -558,47 +530,16 @@ def merge_worker_journals(path: str) -> tuple[int, int]:
         if merged.duplicates:
             warnings.warn(
                 f"{path}: merge dropped {merged.duplicates} duplicate unit "
-                "record(s) (re-measured after lease reclamation; payloads "
+                "record(s) (re-measured after a worker was lost; payloads "
                 "identical)",
                 stacklevel=2,
             )
         return units_merged, merged.duplicates
 
 
-# -- coordinator state -----------------------------------------------------------
-@dataclass
-class _PendingGroup:
-    indices: list[int]
-    retries: int = 0
-    not_before: float = 0.0
-
-
-@dataclass
-class _Lease:
-    lease_id: int
-    worker_id: int
-    remaining: set[int]
-    deadline: float
-    granted_at: float
-    groups: list[_PendingGroup]
-
-
-@dataclass
-class _WorkerHandle:
-    worker_id: int
-    process: Any
-    task_q: Any
-    last_seen: float
-    lease: Optional[_Lease] = None
-    units_completed: int = 0
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-
 # -- the parallel campaign -------------------------------------------------------
 class ParallelCampaign:
-    """Coordinator of a sharded, supervised, lease-based campaign.
+    """Coordinator of a sharded campaign run on a process pool.
 
     Build with :meth:`start` (fresh shard set) or :meth:`resume`
     (continue one — after a budget stop, a coordinator crash, or any
@@ -621,34 +562,19 @@ class ParallelCampaign:
         self.parallel = parallel
         self.header = header
         self.coord = coord
-        triplets = header.get("triplets")
-        self.pairs, self.base_triplets, self.experiments = _build_schedule(
-            int(header["n"]), config.probe_nbytes,
-            [tuple(t) for t in triplets] if triplets is not None else None,
+        self.pairs, self.base_triplets, self.experiments = _header_schedule(
+            header, config
         )
         self.n = int(header["n"])
-        self.board = BreakerBoard(self.n, policy=config.breaker)
-        self._ctx = mp.get_context(self._start_method())
-        self.result_q = self._ctx.Queue()
-        self.workers: dict[int, _WorkerHandle] = {}
-        self.pending: list[_PendingGroup] = []
-        self.quarantined_units: set[int] = set()
-        self._spawn_seq = 0
-        self._lease_seq = 0
-        self._fleet_size = 0
-        self._completed = set(done)
+        #: Unit groups still to measure, one pool task each.
+        self.pending = _without(_shard_groups(self.experiments), done)
         # Budget counters start from what prior runs already spent.
         self.repetitions = sum(int(r.get("attempts", 0)) for r in done.values())
         self.sim_time = sum(float(r.get("sim_cost", 0.0)) for r in done.values())
         self.wall_time = sum(float(r.get("wall_cost", 0.0)) for r in done.values())
-        self._unit_messages = 0
+        self._units_landed = 0
 
     # -- construction --------------------------------------------------------
-    def _start_method(self) -> str:
-        if self.parallel.start_method is not None:
-            return self.parallel.start_method
-        return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
     @classmethod
     def start(
         cls,
@@ -696,13 +622,10 @@ class ParallelCampaign:
         coord = CampaignJournal.create(
             coordinator_path(path),
             {**header, "role": "coordinator",
-             "parallel": {"workers": parallel.workers,
-                          "lease": parallel.lease.to_dict()}},
+             "parallel": {"workers": parallel.workers}},
             fsync=config.fsync,
         )
-        campaign = cls(recipe, path, config, parallel, header, coord, {})
-        campaign._seed_pending(exclude=set())
-        return campaign
+        return cls(recipe, path, config, parallel, header, coord, {})
 
     @classmethod
     def resume(
@@ -718,9 +641,9 @@ class ParallelCampaign:
 
         Validates the cluster fingerprint, folds every worker journal's
         completed units (idempotently — double-measured units are
-        deduplicated), re-queues everything else, and spawns a fresh
-        fleet.  The budget arguments, when given, *replace* the journaled
-        caps, exactly as serial :meth:`Campaign.resume` does.
+        deduplicated), and re-queues everything else for a fresh pool.
+        The budget arguments, when given, *replace* the journaled caps,
+        exactly as serial :meth:`Campaign.resume` does.
         """
         parallel = parallel if parallel is not None else ParallelConfig()
         coord_file = coordinator_path(path)
@@ -751,15 +674,7 @@ class ParallelCampaign:
             "completed_units": len(merged.done),
             "worker_journals": len(worker_journal_paths(path)),
         })
-        campaign = cls(recipe, path, config, parallel, header, coord, merged.done)
-        campaign._seed_pending(exclude=set(merged.done))
-        return campaign
-
-    def _seed_pending(self, exclude: set[int]) -> None:
-        for indices in _shard_groups(self.experiments):
-            remaining = [idx for idx in indices if idx not in exclude]
-            if remaining:
-                self.pending.append(_PendingGroup(indices=remaining))
+        return cls(recipe, path, config, parallel, header, coord, merged.done)
 
     # -- telemetry -----------------------------------------------------------
     def _count(self, name: str, help_text: str, value: float = 1.0,
@@ -768,200 +683,7 @@ class ParallelCampaign:
         if tel is not None:
             tel.registry.counter(name, help=help_text, **labels).inc(value)
 
-    def _gauge(self, name: str, help_text: str, value: float,
-               **labels: str) -> None:
-        tel = _obs.ACTIVE
-        if tel is not None:
-            tel.registry.gauge(name, help=help_text, **labels).set(value)
-
-    def _flush_worker_gauges(self) -> None:
-        now = time.time()
-        alive = stale = 0
-        for handle in self.workers.values():
-            if not handle.alive():
-                continue
-            alive += 1
-            age = max(0.0, now - handle.last_seen)
-            self._gauge(
-                "parallel_worker_heartbeat_age_seconds",
-                "seconds since each live worker was last heard from",
-                age, worker=str(handle.worker_id),
-            )
-            if age > self.parallel.lease.stale_after:
-                stale += 1
-        self._gauge("parallel_workers_alive", "live campaign workers", float(alive))
-        self._gauge(
-            "parallel_worker_heartbeat_stale",
-            "live workers whose heartbeat is older than stale_after",
-            float(stale),
-        )
-
-    # -- worker lifecycle ----------------------------------------------------
-    def _spawn_worker(self) -> _WorkerHandle:
-        # Skip ids whose journal already exists (a prior run's fleet):
-        # worker journals are create-once per process generation.
-        while os.path.exists(f"{self.path}.w{self._spawn_seq}"):
-            self._spawn_seq += 1
-        worker_id = self._spawn_seq
-        self._spawn_seq += 1
-        task_q = self._ctx.Queue()
-        chaos = next(
-            (c for c in self.parallel.chaos_kills if c.worker == worker_id), None
-        )
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                worker_id, self.recipe, f"{self.path}.w{worker_id}", self.header,
-                self.config.to_dict(), task_q, self.result_q,
-                self.parallel.lease.heartbeat_seconds, chaos,
-            ),
-            daemon=True,
-        )
-        process.start()
-        handle = _WorkerHandle(
-            worker_id=worker_id, process=process, task_q=task_q,
-            last_seen=time.time(),
-        )
-        self.workers[worker_id] = handle
-        self.coord.append({
-            "type": "worker_spawned", "worker": worker_id, "pid": process.pid,
-        })
-        self._count("parallel_workers_spawned_total", "workers spawned")
-        return handle
-
-    def _grant_lease(self, handle: _WorkerHandle) -> bool:
-        """Hand the next due unit groups to ``handle``; False when none are."""
-        now = time.time()
-        due = [g for g in self.pending if g.not_before <= now]
-        if not due:
-            return False
-        batch = due[: self.parallel.lease.groups_per_lease]
-        for group in batch:
-            self.pending.remove(group)
-        indices = [idx for group in batch for idx in group.indices]
-        self._lease_seq += 1
-        lease = _Lease(
-            lease_id=self._lease_seq,
-            worker_id=handle.worker_id,
-            remaining=set(indices),
-            deadline=now + self.parallel.lease.lease_seconds,
-            granted_at=now,
-            groups=batch,
-        )
-        handle.lease = lease
-        handle.task_q.put(("lease", lease.lease_id, indices))
-        self.coord.append({
-            "type": "lease_granted", "lease": lease.lease_id,
-            "worker": handle.worker_id, "units": indices,
-        })
-        self._count("parallel_leases_granted_total", "leases granted to workers")
-        return True
-
-    def _reclaim(self, handle: _WorkerHandle, reason: str) -> None:
-        """Take a dead or expired worker's unfinished units back.
-
-        Completed units are safe — their worker-journal records survive
-        the crash, and the merge deduplicates any re-measurement.
-        Unfinished units go back to pending with one more retry and
-        exponential backoff, until the retry budget sends them to
-        quarantine through the breaker board.
-        """
-        lease = handle.lease
-        handle.lease = None
-        if lease is None:
-            return
-        if not lease.remaining:
-            self.coord.append({
-                "type": "lease_closed", "lease": lease.lease_id,
-                "worker": handle.worker_id, "reason": reason,
-            })
-            return
-        reclaimed = sorted(lease.remaining)
-        policy = self.parallel.lease
-        retries = max((g.retries for g in lease.groups), default=0) + 1
-        requeued: list[int] = []
-        quarantined: list[int] = []
-        for index in reclaimed:
-            if retries > policy.max_unit_retries:
-                self._quarantine_unit(index)
-                quarantined.append(index)
-            else:
-                requeued.append(index)
-        if requeued:
-            self.pending.append(_PendingGroup(
-                indices=requeued, retries=retries,
-                not_before=time.time()
-                + policy.reassign_backoff * (2 ** (retries - 1)),
-            ))
-        self.coord.append({
-            "type": "units_reclaimed", "lease": lease.lease_id,
-            "worker": handle.worker_id, "reason": reason,
-            "requeued": requeued, "quarantined": quarantined,
-            "retries": retries,
-        })
-        self._count(
-            "parallel_units_reclaimed_total",
-            "in-flight units reclaimed from dead or expired leases",
-            float(len(reclaimed)),
-        )
-        tel = _obs.ACTIVE
-        if tel is not None:
-            tel.events.warning(
-                "parallel_units_reclaimed", worker=handle.worker_id,
-                reason=reason, requeued=len(requeued),
-                quarantined=len(quarantined),
-            )
-
-    def _quarantine_unit(self, index: int) -> None:
-        self.quarantined_units.add(index)
-        self.board.record_failure(self.experiments[index].nodes)
-        self.board.advance()
-        self._count(
-            "parallel_units_quarantined_total",
-            "units quarantined after exhausting their retry budget",
-        )
-        tel = _obs.ACTIVE
-        if tel is not None:
-            tel.events.error(
-                "parallel_unit_quarantined", unit=index,
-                nodes=list(self.experiments[index].nodes),
-            )
-
-    def _kill_worker(self, handle: _WorkerHandle, reason: str) -> None:
-        if handle.alive():
-            handle.process.kill()
-            handle.process.join(timeout=5.0)
-        self.coord.append({
-            "type": "worker_dead", "worker": handle.worker_id, "reason": reason,
-        })
-        self._count("parallel_workers_dead_total", "workers lost", reason=reason)
-        tel = _obs.ACTIVE
-        if tel is not None:
-            tel.events.warning(
-                "parallel_worker_dead", worker=handle.worker_id, reason=reason,
-            )
-            if tel.flight is not None:
-                # A worker death is post-mortem material: get the current
-                # rings onto the spill before anything else goes wrong.
-                tel.flight.sync(reason="worker_dead")
-        self._reclaim(handle, reason)
-        del self.workers[handle.worker_id]
-
-    def _shutdown_workers(self) -> None:
-        for handle in self.workers.values():
-            try:
-                handle.task_q.put(("stop",))
-            except Exception:
-                pass
-        deadline = time.time() + 10.0
-        for handle in self.workers.values():
-            handle.process.join(timeout=max(0.1, deadline - time.time()))
-            if handle.alive():
-                handle.process.kill()
-                handle.process.join(timeout=5.0)
-        self.workers.clear()
-
-    # -- supervision ---------------------------------------------------------
+    # -- the sweep -----------------------------------------------------------
     def _budget_exceeded(self) -> Optional[str]:
         cfg = self.config
         if cfg.max_sim_seconds is not None and self.sim_time >= cfg.max_sim_seconds:
@@ -975,124 +697,6 @@ class ParallelCampaign:
             return "budget_wall"
         return None
 
-    def _handle_message(self, msg: tuple) -> None:
-        kind, worker_id = msg[0], msg[1]
-        handle = self.workers.get(worker_id)
-        if handle is not None:
-            handle.last_seen = time.time()
-        if kind == "unit":
-            _, _, lease_id, index, outcome, costs, _t = msg
-            self._unit_messages += 1
-            self.repetitions += int(costs.get("attempts", 0))
-            self.sim_time += float(costs.get("sim_cost", 0.0))
-            self.wall_time += float(costs.get("wall_cost", 0.0))
-            if handle is not None and handle.lease is not None:
-                handle.lease.remaining.discard(index)
-                # Progress renews the lease: a straggler is a worker that
-                # stops landing units, not a worker with a long lease.
-                handle.lease.deadline = (
-                    time.time() + self.parallel.lease.lease_seconds
-                )
-                handle.units_completed += 1
-            if outcome == "done":
-                self._completed.add(index)
-            elif outcome == "failed":
-                self.board.record_failure(self.experiments[index].nodes)
-                self.board.advance()
-            self._count(
-                "parallel_worker_units_total", "units executed per worker",
-                outcome=outcome, worker=str(worker_id),
-            )
-            if (
-                self.parallel.chaos_coordinator_crash_after is not None
-                and self._unit_messages
-                >= self.parallel.chaos_coordinator_crash_after
-            ):
-                for h in list(self.workers.values()):
-                    if h.alive():
-                        h.process.kill()
-                        h.process.join(timeout=5.0)
-                self.workers.clear()
-                self.coord.close()
-                raise SimulatedCrash(
-                    f"coordinator died after {self._unit_messages} unit "
-                    "completions (chaos_coordinator_crash_after)"
-                )
-        elif kind == "lease_done":
-            _, _, lease_id, _t = msg
-            if (
-                handle is not None
-                and handle.lease is not None
-                and handle.lease.lease_id == lease_id
-            ):
-                lease = handle.lease
-                handle.lease = None
-                self.coord.append({
-                    "type": "lease_completed", "lease": lease_id,
-                    "worker": worker_id,
-                })
-                tel = _obs.ACTIVE
-                if tel is not None:
-                    tel.registry.histogram(
-                        "parallel_lease_seconds",
-                        help="wall clock from lease grant to completion",
-                    ).observe(time.time() - lease.granted_at)
-        # hello / heartbeat / bye only refresh last_seen, handled above.
-
-    def _drain_queue(self, timeout: float) -> None:
-        try:
-            msg = self.result_q.get(timeout=timeout)
-        except _queue.Empty:
-            return
-        self._handle_message(msg)
-        while True:
-            try:
-                msg = self.result_q.get_nowait()
-            except _queue.Empty:
-                return
-            self._handle_message(msg)
-
-    def _supervise_once(self) -> None:
-        """One supervision pass: liveness, lease expiry, respawns, grants."""
-        _obs.pulse()  # coordinator cadence for the timeline/flight rings
-        now = time.time()
-        for handle in list(self.workers.values()):
-            if not handle.alive():
-                self._kill_worker(handle, "worker_died")
-                continue
-            lease = handle.lease
-            if lease is not None and now > lease.deadline:
-                self.coord.append({
-                    "type": "lease_expired", "lease": lease.lease_id,
-                    "worker": handle.worker_id,
-                })
-                self._count(
-                    "parallel_leases_expired_total",
-                    "leases that missed their progress deadline",
-                )
-                tel = _obs.ACTIVE
-                if tel is not None:
-                    tel.events.warning(
-                        "parallel_lease_expired", worker=handle.worker_id,
-                        lease=lease.lease_id,
-                    )
-                self._kill_worker(handle, "lease_expired")
-        # Replace lost workers while unassigned work remains and the
-        # respawn budget allows.
-        respawns_used = max(0, self._spawn_seq - self._fleet_size)
-        while (
-            self.pending
-            and len(self.workers) < self.parallel.workers
-            and respawns_used < self.parallel.lease.max_worker_respawns
-        ):
-            self._spawn_worker()
-            respawns_used += 1
-        for handle in self.workers.values():
-            if handle.lease is None:
-                self._grant_lease(handle)
-        self._flush_worker_gauges()
-
-    # -- the sweep -----------------------------------------------------------
     def run(self) -> CampaignResult:
         """Execute the sharded sweep, merge, and assemble the final result.
 
@@ -1108,74 +712,176 @@ class ParallelCampaign:
                 "campaign.parallel.run", n=self.n,
                 total=len(self.experiments), workers=self.parallel.workers,
             ):
-                stopped = self._run_loop()
-        finally:
-            self._shutdown_workers()
-        if stopped is not None:
-            merged = _collect_worker_units(self.path, self.header)
-            self.coord.append({
-                "type": "checkpoint", "reason": stopped,
-                "completed": len(merged.done),
-            })
-            self.coord.close()
-            return self._stopped_result(stopped, merged, wall_start)
-        units_merged, duplicates = merge_worker_journals(self.path)
-        self.coord.append({
-            "type": "merge_complete",
-            "units": units_merged,
-            "duplicates": duplicates,
-        })
-        result = self._assemble(wall_start)
-        self.coord.append({
-            "type": "campaign_complete", "coverage": result.coverage,
-        })
-        self.coord.close()
-        return result
-
-    def _run_loop(self) -> Optional[str]:
-        if self.pending:
-            for _ in range(min(self.parallel.workers, len(self.pending))):
-                self._spawn_worker()
-        self._fleet_size = self._spawn_seq
-        while True:
-            reason = self._budget_exceeded()
-            if reason is not None:
+                stopped = self._run_pools()
+            if stopped is not None:
+                merged = _collect_worker_units(self.path, self.header)
                 tel = _obs.ACTIVE
                 if tel is not None:
                     tel.events.warning(
-                        "campaign_budget_stop", reason=reason,
-                        completed=len(self._completed),
-                        total=len(self.experiments),
+                        "campaign_budget_stop", reason=stopped,
+                        completed=len(merged.done), total=len(self.experiments),
                     )
-                return reason
-            self._drain_queue(timeout=0.05)
-            self._supervise_once()
-            in_flight = any(h.lease is not None for h in self.workers.values())
-            if not self.pending and not in_flight:
-                return None
-            if not self.workers and self.pending:
-                # Respawn budget exhausted with work still unassigned (the
-                # supervision pass would have replaced the fleet otherwise):
-                # quarantine the leftovers so the campaign terminates with
-                # an honest degraded report instead of spinning forever.
-                leftovers = sorted(
-                    idx for group in self.pending for idx in group.indices
-                )
-                for index in leftovers:
-                    self._quarantine_unit(index)
                 self.coord.append({
-                    "type": "units_reclaimed", "lease": None, "worker": None,
-                    "reason": "fleet_exhausted", "requeued": [],
-                    "quarantined": leftovers, "retries": -1,
+                    "type": "checkpoint", "reason": stopped,
+                    "completed": len(merged.done),
                 })
-                self.pending.clear()
-                return None
+                return self._stopped_result(stopped, merged, wall_start)
+            units_merged, duplicates = merge_worker_journals(self.path)
+            self.coord.append({
+                "type": "merge_complete",
+                "units": units_merged,
+                "duplicates": duplicates,
+            })
+            result = self._assemble(wall_start)
+            self.coord.append({
+                "type": "campaign_complete", "coverage": result.coverage,
+            })
+            return result
+        finally:
+            self.coord.close()
+
+    def _run_pools(self) -> Optional[str]:
+        """Measure the pending groups on process pools until none are left.
+
+        Returns the budget that stopped the sweep, or None.  Every pool
+        is shut down, its workers reaped, before this returns or raises.
+        """
+        import multiprocessing as mp
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
+        existing = _worker_journals(self.path)
+        next_id = ctx.Value("i", existing[-1][0] + 1 if existing else 0)
+        while self.pending:
+            reason = self._budget_exceeded()
+            if reason is not None:
+                return reason
+            first_id = next_id.value
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.parallel.workers, len(self.pending)),
+                mp_context=ctx,
+                initializer=_init_worker,
+                initargs=(self.recipe, self.path, self.header,
+                          self.config.to_dict(), next_id,
+                          self.parallel.chaos_kills),
+            )
+            graceful = False
+            try:
+                outcome = self._drain(pool)
+                graceful = outcome not in _POOL_FAILURES
+            finally:
+                if not graceful:
+                    _kill_workers(pool)
+                pool.shutdown(wait=True, cancel_futures=True)
+                self._count("parallel_workers_spawned_total",
+                            "worker processes started",
+                            float(next_id.value - first_id))
+            if outcome not in _POOL_FAILURES:
+                return outcome
+            self._reclaim(outcome, list(range(first_id, next_id.value)))
+        return None
+
+    def _drain(self, pool: Any) -> Optional[str]:
+        """Submit every pending group to ``pool`` and land the results.
+
+        Returns None once every group landed, a budget-stop reason, or
+        the way the pool was lost (``worker_died``: a worker process
+        died and broke the pool; ``progress_deadline``: no group landed
+        for :data:`PROGRESS_DEADLINE` seconds).  Exceptions raised by a
+        task are re-raised here.
+        """
+        from concurrent.futures.process import BrokenProcessPool
+
+        finished: _queue.SimpleQueue = _queue.SimpleQueue()
+        futures = [pool.submit(_run_group, group) for group in self.pending]
+        for future in futures:
+            future.add_done_callback(finished.put)
+        for _ in futures:
+            _obs.pulse()  # coordinator cadence for the timeline/flight rings
+            try:
+                future = finished.get(timeout=PROGRESS_DEADLINE)
+            except _queue.Empty:
+                return "progress_deadline"
+            try:
+                worker_id, results = future.result()
+            except BrokenProcessPool:
+                return "worker_died"
+            self._land(worker_id, results)
+            reason = self._budget_exceeded()
+            if reason is not None:
+                return reason
+        self.pending = []
+        return None
+
+    def _land(self, worker_id: int, results: list[_UnitResult]) -> None:
+        for _index, outcome, costs in results:
+            self._units_landed += 1
+            self.repetitions += int(costs["attempts"])
+            self.sim_time += float(costs["sim_cost"])
+            self.wall_time += float(costs["wall_cost"])
+            self._count(
+                "parallel_worker_units_total", "units executed per worker",
+                outcome=outcome, worker=str(worker_id),
+            )
+            crash_after = self.parallel.chaos_coordinator_crash_after
+            if crash_after is not None and self._units_landed >= crash_after:
+                raise SimulatedCrash(
+                    f"coordinator died after {self._units_landed} unit "
+                    "completions (chaos_coordinator_crash_after)"
+                )
+
+    def _reclaim(self, reason: str, workers: list[int]) -> None:
+        """Journal a lost pool and decide where its unlanded units go.
+
+        The worker journals say which units landed, including any the
+        pool finished but never reported.  The rest go to a fresh pool
+        when this one landed at least one unit, so every restart makes
+        progress; otherwise the fleet is exhausted and they are left to
+        the serial assembly pass.
+        """
+        self.coord.append({"type": "worker_dead", "workers": workers, "reason": reason})
+        self._count("parallel_workers_dead_total", "workers lost",
+                    float(len(workers)), reason=reason)
+        tel = _obs.ACTIVE
+        if tel is not None:
+            tel.events.warning("parallel_worker_dead", workers=workers, reason=reason)
+            if tel.flight is not None:
+                # A worker death is post-mortem material: get the current
+                # rings onto the spill before anything else goes wrong.
+                tel.flight.sync(reason="worker_dead")
+        merged = _collect_worker_units(self.path, self.header)
+        landed = merged.done.keys() | merged.failed.keys() | merged.skipped.keys()
+        handed = sum(len(group) for group in self.pending)
+        self.pending = _without(self.pending, landed)
+        requeued = sorted(idx for group in self.pending for idx in group)
+        if len(requeued) == handed:
+            reason = "fleet_exhausted"
+            self.pending = []
+        self.coord.append({
+            "type": "units_reclaimed", "reason": reason, "requeued": requeued,
+            # No unit is quarantined; the key keeps the record's shape
+            # for readers of the journal.
+            "quarantined": [],
+        })
+        self._count(
+            "parallel_units_reclaimed_total",
+            "units a lost pool did not land, handed to a fresh pool or "
+            "the serial finish",
+            float(len(requeued)),
+        )
+        if tel is not None:
+            tel.events.warning(
+                "parallel_units_reclaimed", reason=reason, requeued=len(requeued),
+            )
 
     # -- results -------------------------------------------------------------
     def _stopped_result(
         self, reason: str, merged: _MergedUnits, wall_start: float
     ) -> CampaignResult:
         records = list(merged.done.values()) + list(merged.failed.values())
+        board = _merged_board(self.header, self.config, self.experiments, merged)
         return CampaignResult(
             model=None,
             n=self.n,
@@ -1186,7 +892,7 @@ class ParallelCampaign:
             coverage=len(merged.done) / max(1, len(self.experiments)),
             coverage_floor=self.config.coverage_floor,
             degraded=True,
-            quarantined=tuple(self.board.open_nodes()),
+            quarantined=tuple(board.open_nodes()),
             solved_triplets=0,
             total_triplets=len(self.base_triplets),
             rejected_triplets=0,
@@ -1195,7 +901,7 @@ class ParallelCampaign:
             estimation_time=sum(float(r.get("sim_cost", 0.0)) for r in records),
             wall_time=time.perf_counter() - wall_start,
             repetitions=sum(int(r.get("attempts", 0)) for r in records),
-            breakers=self.board.to_dict(),
+            breakers=board.to_dict(),
             journal_path=self.path,
         )
 
@@ -1242,11 +948,7 @@ def parallel_status(path: str) -> CampaignStatus:
     header_config = header.get("config")
     if header_config is not None:
         config = CampaignConfig.from_dict(header_config)
-        triplets = header.get("triplets")
-        _pairs, base_triplets, experiments = _build_schedule(
-            int(header["n"]), config.probe_nbytes,
-            [tuple(t) for t in triplets] if triplets is not None else None,
-        )
+        _pairs, base_triplets, experiments = _header_schedule(header, config)
         exp_index = {exp: idx for idx, exp in enumerate(experiments)}
         total_triplets = len(base_triplets)
         solved = sum(
@@ -1254,15 +956,7 @@ def parallel_status(path: str) -> CampaignStatus:
             if all(exp_index[exp] in merged.done
                    for exp in _triplet_experiments(triple, config.probe_nbytes))
         )
-        events = []
-        for index in range(len(experiments)):
-            outcome = merged.outcome(index)
-            if outcome is not None:
-                events.append((outcome, index))
-        with _obs.suppressed():
-            board = _rebuild_board(
-                int(header["n"]), config.breaker, events, experiments
-            )
+        board = _merged_board(header, config, experiments, merged)
         quarantined = tuple(board.open_nodes())
     return CampaignStatus(
         journal_path=path,

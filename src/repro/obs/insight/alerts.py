@@ -15,8 +15,8 @@ Eight rule kinds cover the observatory's needs without a query language:
 * ``metric_total`` — sum across the whole family (histograms count
   observations);
 * ``metric_ratio`` — ``metric`` summed over ``metric_denom`` summed
-  (0 when the denominator is absent or zero), e.g. lease reclamations
-  per lease granted;
+  (0 when the denominator is absent or zero), e.g. units reclaimed
+  from lost worker pools per unit the workers landed;
 * ``metric_quantile`` — an interpolated quantile (``rule.quantile``) of
   one histogram family, buckets merged across matching samples — e.g.
   the service's p99 request latency across all verbs;
@@ -433,20 +433,13 @@ def default_rules() -> list[AlertRule]:
                         "above 25% for some model/operation",
         ),
         AlertRule(
-            name="lease_reclamations_high", kind="metric_ratio",
+            name="units_reclaimed_high", kind="metric_ratio",
             metric="parallel_units_reclaimed_total",
-            metric_denom="parallel_leases_granted_total",
-            threshold=0.5, op=">", level="warning",
-            description="parallel campaign reclaimed more than 0.5 units "
-                        "per granted lease — workers are dying or "
-                        "stragglers are being harvested",
-        ),
-        AlertRule(
-            name="worker_heartbeat_stale", kind="metric_value",
-            metric="parallel_worker_heartbeat_stale",
-            threshold=0.0, op=">", level="error",
-            description="a live campaign worker has not been heard from "
-                        "within the stale_after window",
+            metric_denom="parallel_worker_units_total",
+            threshold=1.0, op=">", level="warning",
+            description="parallel campaign handed back more units from "
+                        "lost pools than its workers landed — workers keep "
+                        "dying or hanging",
         ),
         AlertRule(
             name="service_queue_depth_high", kind="metric_value",

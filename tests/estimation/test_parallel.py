@@ -1,13 +1,18 @@
-"""Parallel campaigns: supervised workers, leases, deterministic merge.
+"""Parallel campaigns: a process pool, per-worker journals, deterministic merge.
 
 The tentpole acceptance: the parallel executor's output — model
 parameters, coverage, breaker board — is bit-identical to a serial run
 with the same seed, including under chaos-injected worker kills (torn
-tails included) and a coordinator crash followed by resume.
+tails included), a hung worker, and a coordinator crash followed by
+resume.
 """
 
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +28,6 @@ from repro.estimation import (
     DESEngineRecipe,
     JournalCorruption,
     JournalError,
-    LeasePolicy,
     ParallelCampaign,
     ParallelConfig,
     campaign_status,
@@ -33,6 +37,7 @@ from repro.estimation import (
     recipe_for_cluster,
     worker_journal_paths,
 )
+from repro.estimation import parallel
 from repro.estimation.journal import replay
 from repro.estimation.parallel import coordinator_path
 from repro.obs import runtime as _obs
@@ -40,12 +45,6 @@ from repro.obs import runtime as _obs
 pytestmark = pytest.mark.campaign
 
 CONFIG = CampaignConfig(seed=11, timeout=5.0)
-
-#: Fast-reclaim lease policy so chaos tests don't wait out real deadlines.
-FAST_LEASE = LeasePolicy(
-    lease_seconds=10.0, heartbeat_seconds=0.1, stale_after=2.0,
-    groups_per_lease=2, reassign_backoff=0.01,
-)
 
 
 def make_recipe(gt_seed=2):
@@ -83,7 +82,7 @@ def test_parallel_is_bit_identical_to_serial(serial_run, tmp_path):
     path = str(tmp_path / "par.jsonl")
     result = ParallelCampaign.start(
         make_recipe(), path, config=CONFIG,
-        parallel=ParallelConfig(workers=2, lease=FAST_LEASE),
+        parallel=ParallelConfig(workers=2),
     ).run()
     assert result.stopped == "complete"
     assert result.completed == 36
@@ -101,7 +100,7 @@ def test_single_worker_degenerates_to_serial(serial_run, tmp_path):
     path = str(tmp_path / "one.jsonl")
     result = ParallelCampaign.start(
         make_recipe(), path, config=CONFIG,
-        parallel=ParallelConfig(workers=1, lease=FAST_LEASE),
+        parallel=ParallelConfig(workers=1),
     ).run()
     assert_same_output(serial_run, result)
 
@@ -110,12 +109,10 @@ def test_start_refuses_existing_journal_or_shards(serial_run, tmp_path):
     with pytest.raises(JournalError, match="already exists"):
         ParallelCampaign.start(make_recipe(), serial_run.journal_path, CONFIG)
     path = str(tmp_path / "shards.jsonl")
-    lease = LeasePolicy(heartbeat_seconds=0.1)
     with pytest.raises(SimulatedCrash):
         ParallelCampaign.start(
             make_recipe(), path, config=CONFIG,
-            parallel=ParallelConfig(workers=1, lease=lease,
-                                    chaos_coordinator_crash_after=2),
+            parallel=ParallelConfig(workers=1, chaos_coordinator_crash_after=2),
         ).run()
     with pytest.raises(JournalError, match="shard set already exists"):
         ParallelCampaign.start(make_recipe(), path, CONFIG)
@@ -127,14 +124,14 @@ def test_killed_worker_is_reclaimed_and_result_identical(serial_run, tmp_path):
     result = ParallelCampaign.start(
         make_recipe(), path, config=CONFIG,
         parallel=ParallelConfig(
-            workers=2, lease=FAST_LEASE,
+            workers=2,
             chaos_kills=(ChaosKill(worker=0, after_units=2, torn_tail=True),),
         ),
     ).run()
     assert result.stopped == "complete"
     assert_same_output(serial_run, result)
     coord = replay(coordinator_path(path))
-    assert coord.of_type("worker_dead"), "the chaos kill must be supervised"
+    assert coord.of_type("worker_dead"), "the chaos kill must be journaled"
     assert coord.of_type("units_reclaimed"), "in-flight units must be reclaimed"
     # The torn tail the dying worker left is tolerated everywhere.
     assert len(replay(path).of_type("experiment_done")) == 36
@@ -145,7 +142,7 @@ def test_both_initial_workers_killed_still_completes(serial_run, tmp_path):
     result = ParallelCampaign.start(
         make_recipe(), path, config=CONFIG,
         parallel=ParallelConfig(
-            workers=2, lease=FAST_LEASE,
+            workers=2,
             chaos_kills=(
                 ChaosKill(worker=0, after_units=1, torn_tail=True),
                 ChaosKill(worker=1, after_units=3),
@@ -155,32 +152,86 @@ def test_both_initial_workers_killed_still_completes(serial_run, tmp_path):
     assert result.stopped == "complete"
     assert_same_output(serial_run, result)
     dead = replay(coordinator_path(path)).of_type("worker_dead")
-    assert len(dead) >= 2
+    # A lost pool takes all of its workers down; both initial ones are gone.
+    assert {0, 1} <= {worker for rec in dead for worker in rec["workers"]}
 
 
 def test_fleet_exhaustion_finishes_serially(serial_run, tmp_path):
-    """Every worker dies instantly and the respawn budget runs out: the
-    leftovers are quarantined, then the assembly pass finishes them
-    serially — the result still lands, still bit-identical."""
+    """The pool's only worker dies before landing a unit, so no fresh
+    pool is started: the leftovers go to the assembly pass, which
+    finishes them serially — the result still lands, still bit-identical."""
     path = str(tmp_path / "exhaust.jsonl")
-    lease = LeasePolicy(
-        lease_seconds=10.0, heartbeat_seconds=0.1, stale_after=2.0,
-        reassign_backoff=0.01, max_worker_respawns=1,
-    )
     result = ParallelCampaign.start(
         make_recipe(), path, config=CONFIG,
         parallel=ParallelConfig(
-            workers=1, lease=lease,
-            chaos_kills=tuple(
-                ChaosKill(worker=w, after_units=0) for w in range(4)
-            ),
+            workers=1, chaos_kills=(ChaosKill(worker=0, after_units=0),),
         ),
     ).run()
     coord = replay(coordinator_path(path))
-    reasons = [rec["reason"] for rec in coord.of_type("units_reclaimed")]
-    assert "fleet_exhausted" in reasons
+    reclaimed = coord.of_type("units_reclaimed")
+    assert [rec["reason"] for rec in reclaimed] == ["fleet_exhausted"]
+    assert reclaimed[0]["requeued"] == list(range(36))
+    assert [rec["workers"] for rec in coord.of_type("worker_dead")] == [[0]]
     assert result.stopped == "complete"
     assert_same_output(serial_run, result)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the hang is patched into forked workers",
+)
+def test_hung_worker_is_killed_at_the_progress_deadline(
+    serial_run, tmp_path, monkeypatch
+):
+    """A worker stuck inside a unit lands nothing; once no group lands
+    for the progress deadline its pool is killed, and the stuck unit is
+    finished without it — the result is still bit-identical."""
+    coordinator = os.getpid()
+    process_unit = Campaign._process_unit
+
+    def hang_on_unit_zero(self, index):
+        if index == 0 and os.getpid() != coordinator:
+            time.sleep(60)
+        return process_unit(self, index)
+
+    monkeypatch.setattr(parallel, "PROGRESS_DEADLINE", 0.5)
+    monkeypatch.setattr(Campaign, "_process_unit", hang_on_unit_zero)
+    path = str(tmp_path / "hung.jsonl")
+    result = ParallelCampaign.start(
+        make_recipe(), path, config=CONFIG,
+        parallel=ParallelConfig(workers=2),
+    ).run()
+    assert result.stopped == "complete"
+    assert_same_output(serial_run, result)
+    coord = replay(coordinator_path(path))
+    reasons = [rec["reason"] for rec in coord.of_type("worker_dead")]
+    assert "progress_deadline" in reasons
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the failure is patched into forked workers",
+)
+def test_task_exception_is_reraised_in_the_coordinator(tmp_path, monkeypatch):
+    """An exception raised inside a task is a bug, not a lost worker: it
+    reaches the caller, after every worker has been reaped."""
+    coordinator = os.getpid()
+    process_unit = Campaign._process_unit
+
+    def fail_on_unit_zero(self, index):
+        if index == 0 and os.getpid() != coordinator:
+            raise RuntimeError("unit 0 exploded")
+        return process_unit(self, index)
+
+    monkeypatch.setattr(Campaign, "_process_unit", fail_on_unit_zero)
+    path = str(tmp_path / "boom.jsonl")
+    with pytest.raises(RuntimeError, match="unit 0 exploded"):
+        ParallelCampaign.start(
+            make_recipe(), path, config=CONFIG,
+            parallel=ParallelConfig(workers=2),
+        ).run()
+    assert multiprocessing.active_children() == []
+    assert not replay(coordinator_path(path)).of_type("worker_dead")
 
 
 # -- chaos: coordinator crash + resume -------------------------------------------
@@ -189,7 +240,7 @@ def test_coordinator_crash_resumes_bit_identical(serial_run, tmp_path):
     with pytest.raises(SimulatedCrash):
         ParallelCampaign.start(
             make_recipe(), path, config=CONFIG,
-            parallel=ParallelConfig(workers=2, lease=FAST_LEASE,
+            parallel=ParallelConfig(workers=2,
                                     chaos_coordinator_crash_after=5),
         ).run()
     assert parallel_shards_exist(path)
@@ -198,7 +249,7 @@ def test_coordinator_crash_resumes_bit_identical(serial_run, tmp_path):
     assert 0 < status.completed < 36
     assert not status.complete
     resumed = ParallelCampaign.resume(
-        make_recipe(), path, parallel=ParallelConfig(workers=2, lease=FAST_LEASE)
+        make_recipe(), path, parallel=ParallelConfig(workers=2)
     ).run()
     assert resumed.stopped == "complete"
     assert_same_output(serial_run, resumed)
@@ -219,13 +270,13 @@ def test_worker_kill_then_coordinator_crash_then_resume(serial_run, tmp_path):
         ParallelCampaign.start(
             make_recipe(), path, config=CONFIG,
             parallel=ParallelConfig(
-                workers=2, lease=FAST_LEASE,
+                workers=2,
                 chaos_kills=(ChaosKill(worker=0, after_units=1, torn_tail=True),),
                 chaos_coordinator_crash_after=8,
             ),
         ).run()
     resumed = ParallelCampaign.resume(
-        make_recipe(), path, parallel=ParallelConfig(workers=2, lease=FAST_LEASE)
+        make_recipe(), path, parallel=ParallelConfig(workers=2)
     ).run()
     assert_same_output(serial_run, resumed)
 
@@ -235,7 +286,7 @@ def test_budget_stop_is_resumable_through_parallel_path(serial_run, tmp_path):
     config = CampaignConfig(seed=11, timeout=5.0, max_repetitions=30)
     result = ParallelCampaign.start(
         make_recipe(), path, config=config,
-        parallel=ParallelConfig(workers=2, lease=FAST_LEASE),
+        parallel=ParallelConfig(workers=2),
     ).run()
     assert result.stopped == "budget_repetitions"
     assert result.resumable
@@ -243,7 +294,7 @@ def test_budget_stop_is_resumable_through_parallel_path(serial_run, tmp_path):
     assert not os.path.exists(path)  # still sharded, no canonical journal
     resumed = ParallelCampaign.resume(
         make_recipe(), path,
-        parallel=ParallelConfig(workers=2, lease=FAST_LEASE),
+        parallel=ParallelConfig(workers=2),
         max_repetitions=10**6,
     ).run()
     assert resumed.stopped == "complete"
@@ -256,7 +307,7 @@ def _shard_set_with_crash(tmp_path):
     with pytest.raises(SimulatedCrash):
         ParallelCampaign.start(
             make_recipe(), path, config=CONFIG,
-            parallel=ParallelConfig(workers=2, lease=FAST_LEASE,
+            parallel=ParallelConfig(workers=2,
                                     chaos_coordinator_crash_after=6),
         ).run()
     return path
@@ -340,15 +391,18 @@ def test_recipe_for_cluster_round_trips_identity(tmp_path):
     assert rebuilt.cluster.injector is not None
 
 
-def test_lease_policy_validation_and_roundtrip():
-    policy = LeasePolicy(lease_seconds=5.0, groups_per_lease=3)
-    assert LeasePolicy.from_dict(policy.to_dict()) == policy
-    with pytest.raises(ValueError, match="lease_seconds"):
-        LeasePolicy(lease_seconds=0.0)
-    with pytest.raises(ValueError, match="groups_per_lease"):
-        LeasePolicy(groups_per_lease=0)
-    with pytest.raises(ValueError, match="max_unit_retries"):
-        LeasePolicy(max_unit_retries=-1)
+def test_parallel_config_validation():
+    import dataclasses
+    import inspect
+
+    from repro import api
+
+    # workers is the executor's only knob; the rest is test-only chaos.
+    assert [f.name for f in dataclasses.fields(ParallelConfig)] == [
+        "workers", "chaos_kills", "chaos_coordinator_crash_after",
+    ]
+    for entry in (api.run_campaign, api.resume_campaign):
+        assert "parallel" not in inspect.signature(entry).parameters
     with pytest.raises(ValueError, match="workers"):
         ParallelConfig(workers=0)
     with pytest.raises(ValueError, match="chaos_coordinator_crash_after"):
@@ -358,20 +412,20 @@ def test_lease_policy_validation_and_roundtrip():
 
 
 # -- telemetry -------------------------------------------------------------------
-def test_parallel_run_emits_lease_and_worker_metrics(tmp_path):
+def test_parallel_run_emits_pool_and_worker_metrics(tmp_path):
     path = str(tmp_path / "tel.jsonl")
     tel = _obs.enable(fresh=True)
     try:
         ParallelCampaign.start(
             make_recipe(), path, config=CONFIG,
             parallel=ParallelConfig(
-                workers=2, lease=FAST_LEASE,
+                workers=2,
                 chaos_kills=(ChaosKill(worker=0, after_units=1),),
             ),
         ).run()
         reg = tel.registry
         assert reg.total("parallel_workers_spawned_total") >= 2
-        assert reg.total("parallel_leases_granted_total") > 0
+        assert reg.total("parallel_worker_units_total") > 0
         assert reg.total("parallel_workers_dead_total") >= 1
         assert reg.total("parallel_units_reclaimed_total") >= 1
         assert reg.total("parallel_merge_units_total") == 36
@@ -379,6 +433,7 @@ def test_parallel_run_emits_lease_and_worker_metrics(tmp_path):
         assert "campaign.parallel.run" in names
         assert "campaign.parallel.merge" in names
         assert tel.events.events(name="parallel_worker_dead")
+        assert tel.events.events(name="parallel_units_reclaimed")
     finally:
         _obs.disable()
 
@@ -396,10 +451,7 @@ def test_api_run_campaign_workers_matches_serial(tmp_path):
         )
 
     serial = api.run_campaign(cluster(), str(tmp_path / "s.jsonl"), CONFIG)
-    par = api.run_campaign(
-        cluster(), str(tmp_path / "p.jsonl"), CONFIG, workers=2,
-        parallel=ParallelConfig(workers=2, lease=FAST_LEASE),
-    )
+    par = api.run_campaign(cluster(), str(tmp_path / "p.jsonl"), CONFIG, workers=2)
     assert_same_output(serial, par)
 
 
@@ -420,14 +472,24 @@ def test_api_resume_campaign_detects_shard_set(tmp_path):
     with pytest.raises(SimulatedCrash):
         ParallelCampaign.start(
             recipe, path, config=CONFIG,
-            parallel=ParallelConfig(workers=2, lease=FAST_LEASE,
+            parallel=ParallelConfig(workers=2,
                                     chaos_coordinator_crash_after=4),
         ).run()
-    resumed = api.resume_campaign(
-        cluster(), path, workers=2,
-        parallel=ParallelConfig(workers=2, lease=FAST_LEASE),
-    )
+    resumed = api.resume_campaign(cluster(), path, workers=2)
     assert_same_output(serial, resumed)
+
+
+def test_importing_the_api_leaves_the_process_pool_unloaded():
+    """The pool is imported inside ``run``, so ``import repro.api`` does
+    not pay for it."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    code = "import sys, repro.api; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 # -- property: determinism under random schedules, fleets and kill points --------
@@ -445,7 +507,7 @@ def test_any_kill_point_merges_identically(
     result = ParallelCampaign.start(
         make_recipe(), path, config=CONFIG,
         parallel=ParallelConfig(
-            workers=workers, lease=FAST_LEASE,
+            workers=workers,
             chaos_kills=(
                 ChaosKill(worker=0, after_units=kill_after, torn_tail=torn),
             ),
@@ -468,7 +530,7 @@ def test_trace_id_propagates_into_every_journal_header(tmp_path):
     with _trace.use(ctx):
         result = ParallelCampaign.start(
             make_recipe(), path, config=CONFIG,
-            parallel=ParallelConfig(workers=1, lease=FAST_LEASE),
+            parallel=ParallelConfig(workers=1),
         ).run()
     assert result.stopped == "complete"
     assert replay(path).header["trace_id"] == ctx.trace_id
@@ -480,7 +542,7 @@ def test_untraced_campaign_writes_no_trace_id(serial_run, tmp_path):
     path = str(tmp_path / "untraced.jsonl")
     result = ParallelCampaign.start(
         make_recipe(), path, config=CONFIG,
-        parallel=ParallelConfig(workers=1, lease=FAST_LEASE),
+        parallel=ParallelConfig(workers=1),
     ).run()
     assert result.stopped == "complete"
     assert "trace_id" not in replay(path).header

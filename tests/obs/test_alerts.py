@@ -178,7 +178,7 @@ def test_default_rules_catalog():
     names = [r.name for r in rules]
     assert names == ["escalation_rate_high", "breaker_open",
                      "model_drift_high", "residual_p95_high",
-                     "lease_reclamations_high", "worker_heartbeat_stale",
+                     "units_reclaimed_high",
                      "service_queue_depth_high", "service_p99_latency_high",
                      "service_crash_loop", "service_deadline_shed_high",
                      "service_requests_absent",
@@ -219,17 +219,19 @@ def test_metric_ratio_rule_requires_denominator():
         AlertRule(name="r", kind="metric_ratio", metric="a", threshold=0.5)
 
 
-def test_default_lease_reclamation_rule_fires_on_churny_campaign():
+def test_default_units_reclaimed_rule_fires_on_churny_campaign():
     reg = MetricsRegistry()
-    reg.counter("parallel_leases_granted_total").inc(10)
+    reg.counter("parallel_worker_units_total", outcome="done", worker="0").inc(6)
+    reg.counter("parallel_worker_units_total", outcome="done", worker="1").inc(4)
     reg.counter("parallel_units_reclaimed_total").inc(8)
-    reg.gauge("parallel_worker_heartbeat_stale").set(1)
-    states = AlertEngine().evaluate(reg.snapshot())
-    by_name = {s.rule.name: s for s in states}
-    assert by_name["lease_reclamations_high"].firing
-    assert by_name["lease_reclamations_high"].value == pytest.approx(0.8)
-    assert by_name["worker_heartbeat_stale"].firing
-    assert by_name["worker_heartbeat_stale"].rule.level == "error"
+    by_name = {s.rule.name: s for s in AlertEngine().evaluate(reg.snapshot())}
+    assert not by_name["units_reclaimed_high"].firing  # one lost pool is no churn
+    assert by_name["units_reclaimed_high"].value == pytest.approx(0.8)
+    reg.counter("parallel_units_reclaimed_total").inc(7)
+    by_name = {s.rule.name: s for s in AlertEngine().evaluate(reg.snapshot())}
+    assert by_name["units_reclaimed_high"].firing
+    assert by_name["units_reclaimed_high"].value == pytest.approx(1.5)
+    assert by_name["units_reclaimed_high"].rule.level == "warning"
 
 
 def test_default_escalation_rate_rule_fires_on_hot_region():
