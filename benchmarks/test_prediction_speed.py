@@ -1,11 +1,12 @@
-"""Microbenchmark: vectorized sweep prediction vs the scalar path.
+"""Microbenchmark: one sweep over all sizes vs a loop of one-size calls.
 
-The tentpole claim of the batched prediction engine: evaluating a full
-algorithm menu over a message-size sweep as array ops is >= 10x faster
-than calling the scalar predictors size by size.  This file measures
-exactly that (16-node model, 200 sizes, the whole menu), asserts the
-floor, and writes ``BENCH_prediction.json`` at the repo root so the
-numbers are committed alongside the code that produced them.
+The claim of the batched prediction engine: evaluating a full algorithm
+menu over a message-size sweep as array ops is >= 10x faster than calling
+the scalar predictors size by size.  The scalar predictors are one-size
+sweeps, so this measures the per-call cost a size loop pays (16-node
+model, 200 sizes, the whole menu), asserts the floor, and writes
+``BENCH_prediction.json`` at the repo root so the numbers are committed
+alongside the code that produced them.
 
 Run with::
 

@@ -16,7 +16,10 @@ ranks):
   predictions come back as one array.
 
 The scalar path is implemented *on top of* the batch path in every model
-(a one-element batch), so the two can never diverge.
+(a one-element batch), so the two can never diverge.  The collective
+formulas of :mod:`repro.models.collectives` follow the same rule: each
+has one body, a sweep over message sizes, and the scalar predictor is
+its one-size form.
 """
 
 from __future__ import annotations

@@ -17,18 +17,25 @@ estimation of linear gather" — Sec. II); only the LMO model distinguishes
 them.
 
 Binomial predictions use the recursion (1)/(2) via
-:func:`~repro.models.collectives.tree_eval.predict_tree_time`.
+:func:`~repro.models.collectives.tree_eval.predict_tree_time_batch`.
+
+Each formula has one body, a ``*_sweep`` function that evaluates it over
+a whole array of message sizes in one pass of NumPy ops.  The scalar
+names are one-size sweeps that return a float, the way ``p2p_time``
+wraps ``p2p_time_batch``; the one exception is the extended-LMO linear
+gather, whose scalar form returns a :class:`GatherPrediction` built on
+the same deterministic-branch sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import singledispatch
+from functools import reduce, singledispatch
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.models.base import ArrayLike, validate_nbytes, validate_nbytes_batch, validate_rank
+from repro.models.base import ArrayLike, validate_nbytes_batch, validate_rank
 from repro.models.collectives.tree_eval import predict_tree_time, predict_tree_time_batch
 from repro.models.collectives.trees import CommTree, binomial_tree, flat_tree
 from repro.models.hockney import HeterogeneousHockneyModel, HockneyModel
@@ -52,7 +59,6 @@ __all__ = [
     "predict_binomial_gather",
     "predict_binomial_gather_sweep",
     "lmo_serial_parallel_split",
-    "lmo_serial_parallel_split_batch",
 ]
 
 SEQUENTIAL = "sequential"
@@ -82,17 +88,114 @@ class GatherPrediction:
         return float(self.expected)
 
 
-def _participants(model, root: int, participants: Optional[Sequence[int]]) -> list[int]:
+def _others(model, root: int, participants: Optional[Sequence[int]]) -> list[int]:
+    """The validated non-root participants (every rank when ``None``)."""
     ranks = list(range(model.n)) if participants is None else list(participants)
+    validate_rank(model.n, root, *ranks)
     if root not in ranks:
         raise ValueError(f"root {root} not among participants {ranks}")
     if len(set(ranks)) != len(ranks):
         raise ValueError("duplicate participants")
-    return ranks
+    others = [i for i in ranks if i != root]
+    if not others:
+        raise ValueError(f"participants {ranks} include no rank besides the root")
+    return others
+
+
+def _max_over(terms) -> np.ndarray:
+    """Element-wise maximum of a sequence of cost arrays."""
+    return reduce(np.maximum, terms)
+
+
+def _sum_over(terms) -> np.ndarray:
+    """Element-wise sum of a sequence of cost arrays, left to right (the
+    order fixes the rounding, so it is part of the formula's value)."""
+    return reduce(np.add, terms)
 
 
 # ===================================================================== scatter
 @singledispatch
+def predict_linear_scatter_sweep(
+    model,
+    sizes: ArrayLike,
+    root: int = 0,
+    participants: Optional[Sequence[int]] = None,
+    assumption: str = SEQUENTIAL,
+) -> np.ndarray:
+    """Predicted linear-scatter times for an array of block sizes (Table II)."""
+    raise TypeError(f"no linear-scatter formula for {type(model).__name__}")
+
+
+@predict_linear_scatter_sweep.register
+def _(model: HockneyModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
+    nb = validate_nbytes_batch(sizes)
+    others = _others(model, root, participants)
+    per_message = model.alpha + model.beta * nb
+    if assumption == SEQUENTIAL:
+        return len(others) * per_message
+    if assumption == PARALLEL:
+        return per_message.copy()
+    raise ValueError(f"unknown assumption {assumption!r}")
+
+
+@predict_linear_scatter_sweep.register
+def _(model: HeterogeneousHockneyModel, sizes, root=0, participants=None,
+      assumption=SEQUENTIAL):
+    nb = validate_nbytes_batch(sizes)
+    terms = [model.p2p_time_batch(root, i, nb) for i in _others(model, root, participants)]
+    if assumption == SEQUENTIAL:
+        return _sum_over(terms)
+    if assumption == PARALLEL:
+        return _max_over(terms)
+    raise ValueError(f"unknown assumption {assumption!r}")
+
+
+@predict_linear_scatter_sweep.register
+def _(model: LogGPModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
+    nb = validate_nbytes_batch(sizes)
+    n = len(_others(model, root, participants)) + 1
+    return (
+        model.L
+        + 2 * model.o
+        + (n - 1) * np.maximum(nb - 1, 0) * model.G
+        + (n - 2) * model.g
+    )
+
+
+@predict_linear_scatter_sweep.register
+def _(model: LogPModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
+    nb = validate_nbytes_batch(sizes)
+    n = len(_others(model, root, participants)) + 1
+    # LogP's large-message story: (n-1) packet trains back to back.
+    packets = model.packets_batch(nb)
+    return model.L + 2 * model.o + ((n - 1) * packets - 1) * model.g
+
+
+@predict_linear_scatter_sweep.register
+def _(model: PLogPModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
+    nb = validate_nbytes_batch(sizes)
+    n = len(_others(model, root, participants)) + 1
+    return model.L + (n - 1) * model.g.batch(nb)
+
+
+@predict_linear_scatter_sweep.register
+def _(model: LMOModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
+    nb = validate_nbytes_batch(sizes)
+    others = _others(model, root, participants)
+    serial = len(others) * (model.C[root] + nb * model.t[root])
+    return serial + _max_over(
+        nb / model.beta[root, i] + model.C[i] + nb * model.t[i] for i in others
+    )
+
+
+@predict_linear_scatter_sweep.register
+def _(model: ExtendedLMOModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
+    nb = validate_nbytes_batch(sizes)
+    others = _others(model, root, participants)
+    serial = len(others) * model.send_cost_batch(root, nb)
+    return serial + _max_over(model.wire_and_remote_cost_batch(root, i, nb) for i in others)
+
+
 def predict_linear_scatter(
     model,
     nbytes: float,
@@ -101,85 +204,51 @@ def predict_linear_scatter(
     assumption: str = SEQUENTIAL,
 ) -> float:
     """Predicted linear-scatter time for ``nbytes`` blocks (Table II)."""
-    raise TypeError(f"no linear-scatter formula for {type(model).__name__}")
-
-
-@predict_linear_scatter.register
-def _(model: HockneyModel, nbytes, root=0, participants=None, assumption=SEQUENTIAL):
-    validate_nbytes(nbytes)
-    ranks = _participants(model, root, participants)
-    per_message = model.alpha + model.beta * nbytes
-    if assumption == SEQUENTIAL:
-        return (len(ranks) - 1) * per_message
-    if assumption == PARALLEL:
-        return per_message
-    raise ValueError(f"unknown assumption {assumption!r}")
-
-
-@predict_linear_scatter.register
-def _(model: HeterogeneousHockneyModel, nbytes, root=0, participants=None,
-      assumption=SEQUENTIAL):
-    validate_nbytes(nbytes)
-    ranks = _participants(model, root, participants)
-    terms = [model.p2p_time(root, i, nbytes) for i in ranks if i != root]
-    if assumption == SEQUENTIAL:
-        return float(sum(terms))
-    if assumption == PARALLEL:
-        return float(max(terms))
-    raise ValueError(f"unknown assumption {assumption!r}")
-
-
-@predict_linear_scatter.register
-def _(model: LogGPModel, nbytes, root=0, participants=None, assumption=SEQUENTIAL):
-    validate_nbytes(nbytes)
-    n = len(_participants(model, root, participants))
-    return (
-        model.L
-        + 2 * model.o
-        + (n - 1) * max(nbytes - 1, 0) * model.G
-        + (n - 2) * model.g
-    )
-
-
-@predict_linear_scatter.register
-def _(model: LogPModel, nbytes, root=0, participants=None, assumption=SEQUENTIAL):
-    validate_nbytes(nbytes)
-    n = len(_participants(model, root, participants))
-    # LogP's large-message story: (n-1) packet trains back to back.
-    packets = model.packets(nbytes)
-    return model.L + 2 * model.o + ((n - 1) * packets - 1) * model.g
-
-
-@predict_linear_scatter.register
-def _(model: PLogPModel, nbytes, root=0, participants=None, assumption=SEQUENTIAL):
-    validate_nbytes(nbytes)
-    n = len(_participants(model, root, participants))
-    return model.L + (n - 1) * model.g(nbytes)
-
-
-@predict_linear_scatter.register
-def _(model: LMOModel, nbytes, root=0, participants=None, assumption=SEQUENTIAL):
-    validate_nbytes(nbytes)
-    ranks = _participants(model, root, participants)
-    others = [i for i in ranks if i != root]
-    serial = len(others) * (model.C[root] + nbytes * model.t[root])
-    parallel = max(
-        nbytes / model.beta[root, i] + model.C[i] + nbytes * model.t[i] for i in others
-    )
-    return float(serial + parallel)
-
-
-@predict_linear_scatter.register
-def _(model: ExtendedLMOModel, nbytes, root=0, participants=None, assumption=SEQUENTIAL):
-    validate_nbytes(nbytes)
-    ranks = _participants(model, root, participants)
-    others = [i for i in ranks if i != root]
-    serial = len(others) * model.send_cost(root, nbytes)
-    parallel = max(model.wire_and_remote_cost(root, i, nbytes) for i in others)
-    return float(serial + parallel)
+    return float(predict_linear_scatter_sweep(model, nbytes, root, participants, assumption))
 
 
 # ====================================================================== gather
+def _lmo_gather_base(model: ExtendedLMOModel, sizes, root, participants) -> np.ndarray:
+    """Deterministic branch of formula (5): the max over senders, or the
+    sum above the empirical threshold ``M2``."""
+    nb = validate_nbytes_batch(sizes)
+    others = _others(model, root, participants)
+    serial = len(others) * model.send_cost_batch(root, nb)
+    # Direction matters: senders i feed the root, so each parallel term
+    # carries the *sender's* processor cost C_i + M t_i plus the wire.
+    terms = [
+        model.L[root, i] + nb / model.beta[root, i] + model.C[i] + nb * model.t[i]
+        for i in others
+    ]
+    irr = model.gather_irregularity
+    if irr is None:
+        return serial + _max_over(terms)
+    return np.where(nb > irr.m2, serial + _sum_over(terms), serial + _max_over(terms))
+
+
+def predict_linear_gather_sweep(
+    model,
+    sizes: ArrayLike,
+    root: int = 0,
+    participants: Optional[Sequence[int]] = None,
+    assumption: str = SEQUENTIAL,
+) -> np.ndarray:
+    """Predicted linear-gather times for an array of block sizes (Table II).
+
+    Traditional models reuse the scatter formula.  For the extended LMO
+    model each element is ``float(GatherPrediction)``: the deterministic
+    branch of formula (5) for its regime plus the expected escalation
+    cost in the medium regime.
+    """
+    if not isinstance(model, ExtendedLMOModel):
+        return predict_linear_scatter_sweep(model, sizes, root, participants, assumption)
+    base = _lmo_gather_base(model, sizes, root, participants)
+    irr = model.gather_irregularity
+    if irr is None:
+        return base
+    return base + irr.escalation_probability_batch(sizes) * irr.escalation_value
+
+
 def predict_linear_gather(
     model,
     nbytes: float,
@@ -193,57 +262,25 @@ def predict_linear_gather(
     extended LMO model returns a :class:`GatherPrediction` implementing
     formula (5), including the empirical medium-regime statistics.
     """
-    if isinstance(model, ExtendedLMOModel):
-        return _lmo_gather(model, nbytes, root, participants)
-    return predict_linear_scatter(model, nbytes, root, participants, assumption)
-
-
-def _lmo_gather(model: ExtendedLMOModel, nbytes, root, participants) -> GatherPrediction:
-    validate_nbytes(nbytes)
-    ranks = _participants(model, root, participants)
-    others = [i for i in ranks if i != root]
-    serial = len(others) * model.send_cost(root, nbytes)
-    # Direction matters: senders i feed the root, so each parallel term
-    # carries the *sender's* processor cost C_i + M t_i plus the wire.
-    terms = [
-        float(
-            model.L[root, i]
-            + nbytes / model.beta[root, i]
-            + model.C[i]
-            + nbytes * model.t[i]
-        )
-        for i in others
-    ]
+    if not isinstance(model, ExtendedLMOModel):
+        return predict_linear_scatter(model, nbytes, root, participants, assumption)
+    base = float(_lmo_gather_base(model, nbytes, root, participants))
     irr = model.gather_irregularity
     if irr is None:
-        return GatherPrediction(base=serial + max(terms), regime="small")
+        return GatherPrediction(base=base, regime="small")
     regime = irr.regime(nbytes)
-    if regime == "large":
-        return GatherPrediction(base=serial + sum(terms), regime=regime)
-    prediction = GatherPrediction(
-        base=serial + max(terms),
+    return GatherPrediction(
+        base=base,
         regime=regime,
         escalation_probability=irr.escalation_probability(nbytes),
         escalation_value=irr.escalation_value if regime == "medium" else 0.0,
     )
-    return prediction
 
 
 # ==================================================================== binomial
 def lmo_serial_parallel_split(model: ExtendedLMOModel):
-    """The extended-LMO cost split used by tree predictions."""
-
-    def serial(i: int, _j: int, nbytes: float) -> float:
-        return model.send_cost(i, nbytes)
-
-    def parallel(i: int, j: int, nbytes: float) -> float:
-        return model.wire_and_remote_cost(i, j, nbytes)
-
-    return serial, parallel
-
-
-def lmo_serial_parallel_split_batch(model: ExtendedLMOModel):
-    """Array-valued :func:`lmo_serial_parallel_split` for sweep evaluation."""
+    """The extended-LMO cost split used by tree predictions: the sender's
+    ``C_i + M t_i`` is serialized, the wire and receiver run in parallel."""
 
     def serial(i: int, _j: int, nbytes):
         return model.send_cost_batch(i, nbytes)
@@ -254,6 +291,49 @@ def lmo_serial_parallel_split_batch(model: ExtendedLMOModel):
     return serial, parallel
 
 
+def _no_overlap(_i: int, _j: int, nbytes) -> np.ndarray:
+    return np.zeros(np.shape(nbytes))
+
+
+def predict_binomial_scatter_sweep(
+    model,
+    sizes: ArrayLike,
+    root: int = 0,
+    n: Optional[int] = None,
+    tree: Optional[CommTree] = None,
+) -> np.ndarray:
+    """Binomial scatter times via the paper's recursion (1)/(2).
+
+    Traditional models charge whole point-to-point times serially along
+    the tree; the extended LMO model serializes only sender CPU costs.
+    """
+    nb = validate_nbytes_batch(sizes)
+    if tree is None:
+        tree = binomial_tree(model.n if n is None else n, root)
+    if isinstance(model, ExtendedLMOModel):
+        serial, parallel = lmo_serial_parallel_split(model)
+    else:
+        serial, parallel = model.p2p_time_batch, _no_overlap
+    return predict_tree_time_batch(tree, nb, serial, parallel)
+
+
+def predict_binomial_gather_sweep(
+    model,
+    sizes: ArrayLike,
+    root: int = 0,
+    n: Optional[int] = None,
+    tree: Optional[CommTree] = None,
+) -> np.ndarray:
+    """Binomial gather: the scatter recursion over the reversed tree.
+
+    The deterministic branch of the paper's formula (1) is symmetric under
+    time reversal (sums stay sums, maxima stay maxima), so the scatter
+    evaluation applies; for the extended LMO model the serialized part
+    of each arc is the parent's CPU, which now receives.
+    """
+    return predict_binomial_scatter_sweep(model, sizes, root=root, n=n, tree=tree)
+
+
 def predict_binomial_scatter(
     model,
     nbytes: float,
@@ -261,20 +341,8 @@ def predict_binomial_scatter(
     n: Optional[int] = None,
     tree: Optional[CommTree] = None,
 ) -> float:
-    """Binomial scatter prediction via the paper's recursion (1)/(2).
-
-    Traditional models charge whole point-to-point times serially along
-    the tree; the extended LMO model serializes only sender CPU costs.
-    """
-    validate_nbytes(nbytes)
-    if tree is None:
-        tree = binomial_tree(model.n if n is None else n, root)
-    if isinstance(model, ExtendedLMOModel):
-        serial, parallel = lmo_serial_parallel_split(model)
-        return predict_tree_time(tree, nbytes, serial, parallel)
-    return predict_tree_time(
-        tree, nbytes, serial_cost=model.p2p_time, parallel_cost=lambda i, j, b: 0.0
-    )
+    """One-size :func:`predict_binomial_scatter_sweep`."""
+    return float(predict_binomial_scatter_sweep(model, nbytes, root, n, tree))
 
 
 def predict_binomial_gather(
@@ -284,31 +352,8 @@ def predict_binomial_gather(
     n: Optional[int] = None,
     tree: Optional[CommTree] = None,
 ) -> float:
-    """Binomial gather: identical recursion over the reversed tree.
-
-    The deterministic branch of the paper's formula (1) is symmetric under
-    time reversal (sums stay sums, maxima stay maxima), so the same
-    evaluation applies; for the extended LMO model the serialized part is
-    charged on the *receiving* side of each arc.
-    """
-    validate_nbytes(nbytes)
-    if tree is None:
-        tree = binomial_tree(model.n if n is None else n, root)
-    if isinstance(model, ExtendedLMOModel):
-        # Reverse the roles: the parent's CPU serializes receives.
-        def serial(i: int, _j: int, nbytes_: float) -> float:
-            return model.send_cost(i, nbytes_)
-
-        def parallel(i: int, j: int, nbytes_: float) -> float:
-            return float(
-                model.L[i, j]
-                + nbytes_ / model.beta[i, j]
-                + model.C[j]
-                + nbytes_ * model.t[j]
-            )
-
-        return predict_tree_time(tree, nbytes, serial, parallel)
-    return predict_binomial_scatter(model, nbytes, root=root, n=n, tree=tree)
+    """One-size :func:`predict_binomial_gather_sweep`."""
+    return float(predict_binomial_gather_sweep(model, nbytes, root, n, tree))
 
 
 # ==================================================================== scatterv
@@ -432,183 +477,3 @@ def predict_binomial_scatterv(
         return model.wire_and_remote_cost(i, j, volume[j]) if volume[j] > 0 else 0.0
 
     return predict_tree_time(tree, 1.0, serial, parallel)
-
-
-# ====================================================================== sweeps
-# The vectorized prediction engine: each *_sweep function evaluates the
-# matching scalar formula over a whole array of message sizes in one pass
-# of NumPy ops.  Sums and maxima over participants accumulate in the same
-# left-to-right order as the scalar code, so sweep values match the
-# element-wise scalar loop bit for bit.
-@singledispatch
-def predict_linear_scatter_sweep(
-    model,
-    sizes: ArrayLike,
-    root: int = 0,
-    participants: Optional[Sequence[int]] = None,
-    assumption: str = SEQUENTIAL,
-) -> np.ndarray:
-    """Vectorized :func:`predict_linear_scatter` over an array of sizes."""
-    raise TypeError(f"no linear-scatter formula for {type(model).__name__}")
-
-
-@predict_linear_scatter_sweep.register
-def _(model: HockneyModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
-    nb = validate_nbytes_batch(sizes)
-    ranks = _participants(model, root, participants)
-    per_message = model.alpha + model.beta * nb
-    if assumption == SEQUENTIAL:
-        return (len(ranks) - 1) * per_message
-    if assumption == PARALLEL:
-        return per_message.copy()
-    raise ValueError(f"unknown assumption {assumption!r}")
-
-
-@predict_linear_scatter_sweep.register
-def _(model: HeterogeneousHockneyModel, sizes, root=0, participants=None,
-      assumption=SEQUENTIAL):
-    nb = validate_nbytes_batch(sizes)
-    ranks = _participants(model, root, participants)
-    others = [i for i in ranks if i != root]
-    terms = [model.p2p_time_batch(root, i, nb) for i in others]
-    if assumption == SEQUENTIAL:
-        total = np.zeros(nb.shape)
-        for term in terms:
-            total = total + term
-        return total
-    if assumption == PARALLEL:
-        best = terms[0]
-        for term in terms[1:]:
-            best = np.maximum(best, term)
-        return np.broadcast_to(best, nb.shape).copy()
-    raise ValueError(f"unknown assumption {assumption!r}")
-
-
-@predict_linear_scatter_sweep.register
-def _(model: LogGPModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
-    nb = validate_nbytes_batch(sizes)
-    n = len(_participants(model, root, participants))
-    return (
-        model.L
-        + 2 * model.o
-        + (n - 1) * np.maximum(nb - 1, 0) * model.G
-        + (n - 2) * model.g
-    )
-
-
-@predict_linear_scatter_sweep.register
-def _(model: LogPModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
-    nb = validate_nbytes_batch(sizes)
-    n = len(_participants(model, root, participants))
-    packets = model.packets_batch(nb)
-    return model.L + 2 * model.o + ((n - 1) * packets - 1) * model.g
-
-
-@predict_linear_scatter_sweep.register
-def _(model: PLogPModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
-    nb = validate_nbytes_batch(sizes)
-    n = len(_participants(model, root, participants))
-    return model.L + (n - 1) * model.g.batch(nb)
-
-
-@predict_linear_scatter_sweep.register
-def _(model: LMOModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
-    nb = validate_nbytes_batch(sizes)
-    ranks = _participants(model, root, participants)
-    others = [i for i in ranks if i != root]
-    serial = len(others) * (model.C[root] + nb * model.t[root])
-    terms = [nb / model.beta[root, i] + model.C[i] + nb * model.t[i] for i in others]
-    parallel = terms[0]
-    for term in terms[1:]:
-        parallel = np.maximum(parallel, term)
-    return serial + parallel
-
-
-@predict_linear_scatter_sweep.register
-def _(model: ExtendedLMOModel, sizes, root=0, participants=None, assumption=SEQUENTIAL):
-    nb = validate_nbytes_batch(sizes)
-    ranks = _participants(model, root, participants)
-    others = [i for i in ranks if i != root]
-    serial = len(others) * model.send_cost_batch(root, nb)
-    parallel = model.wire_and_remote_cost_batch(root, others[0], nb)
-    for i in others[1:]:
-        parallel = np.maximum(parallel, model.wire_and_remote_cost_batch(root, i, nb))
-    return serial + parallel
-
-
-def predict_linear_gather_sweep(
-    model,
-    sizes: ArrayLike,
-    root: int = 0,
-    participants: Optional[Sequence[int]] = None,
-    assumption: str = SEQUENTIAL,
-) -> np.ndarray:
-    """Vectorized :func:`predict_linear_gather` over an array of sizes.
-
-    Returns *expected* times: for the extended LMO model each element is
-    ``float(GatherPrediction)`` — the deterministic branch of formula (5)
-    for its regime plus the expected escalation cost in the medium regime.
-    """
-    if isinstance(model, ExtendedLMOModel):
-        return _lmo_gather_sweep(model, sizes, root, participants)
-    return predict_linear_scatter_sweep(model, sizes, root, participants, assumption)
-
-
-def _lmo_gather_sweep(model: ExtendedLMOModel, sizes, root, participants) -> np.ndarray:
-    nb = validate_nbytes_batch(sizes)
-    ranks = _participants(model, root, participants)
-    others = [i for i in ranks if i != root]
-    serial = len(others) * model.send_cost_batch(root, nb)
-    terms = [
-        model.L[root, i] + nb / model.beta[root, i] + model.C[i] + nb * model.t[i]
-        for i in others
-    ]
-    parallel = terms[0]
-    total = np.zeros(nb.shape)
-    for term in terms[1:]:
-        parallel = np.maximum(parallel, term)
-    for term in terms:
-        total = total + term
-    irr = model.gather_irregularity
-    if irr is None:
-        return np.broadcast_to(serial + parallel, nb.shape).copy()
-    base = np.where(nb > irr.m2, serial + total, serial + parallel)
-    return base + irr.escalation_probability_batch(nb) * irr.escalation_value
-
-
-def predict_binomial_scatter_sweep(
-    model,
-    sizes: ArrayLike,
-    root: int = 0,
-    n: Optional[int] = None,
-    tree: Optional[CommTree] = None,
-) -> np.ndarray:
-    """Vectorized :func:`predict_binomial_scatter` over an array of sizes."""
-    nb = validate_nbytes_batch(sizes)
-    if tree is None:
-        tree = binomial_tree(model.n if n is None else n, root)
-    if isinstance(model, ExtendedLMOModel):
-        serial, parallel = lmo_serial_parallel_split_batch(model)
-        return predict_tree_time_batch(tree, nb, serial, parallel)
-    return predict_tree_time_batch(
-        tree, nb,
-        serial_cost=model.p2p_time_batch,
-        parallel_cost=lambda i, j, b: np.zeros(np.shape(b)),
-    )
-
-
-def predict_binomial_gather_sweep(
-    model,
-    sizes: ArrayLike,
-    root: int = 0,
-    n: Optional[int] = None,
-    tree: Optional[CommTree] = None,
-) -> np.ndarray:
-    """Vectorized :func:`predict_binomial_gather` over an array of sizes."""
-    if isinstance(model, ExtendedLMOModel):
-        nb = validate_nbytes_batch(sizes)
-        if tree is None:
-            tree = binomial_tree(model.n if n is None else n, root)
-        serial, parallel = lmo_serial_parallel_split_batch(model)
-        return predict_tree_time_batch(tree, nb, serial, parallel)
-    return predict_binomial_scatter_sweep(model, sizes, root=root, n=n, tree=tree)

@@ -3,9 +3,13 @@
 The paper claims its intuitive models can express "the execution time of
 any collective communication operation ... as a combination of maximums
 and sums of the point-to-point parameters".  This module exercises that
-claim beyond scatter/gather: broadcast (linear, binomial, pipeline),
-ring and recursive-doubling allgather, and both allreduce compositions —
-each expressed in the same serial-processor / parallel-network split.
+claim beyond scatter/gather: broadcast (linear, binomial, pipeline, van de
+Geijn), ring and recursive-doubling allgather, ring reduce-scatter, and
+three allreduce compositions — each expressed in the same serial-processor
+/ parallel-network split.
+
+Each formula has one body, a ``*_sweep`` function over a whole array of
+message sizes; the scalar names are its one-size form, returning a float.
 """
 
 from __future__ import annotations
@@ -15,8 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.models.base import ArrayLike, validate_nbytes, validate_nbytes_batch, validate_rank
-from repro.models.collectives.tree_eval import predict_tree_time, predict_tree_time_batch
+from repro.models.base import ArrayLike, validate_nbytes_batch, validate_rank
+from repro.models.collectives.formulas import (
+    _max_over,
+    _sum_over,
+    predict_binomial_scatter_sweep,
+    predict_linear_scatter_sweep,
+)
+from repro.models.collectives.tree_eval import predict_tree_time_batch
 from repro.models.collectives.trees import CommTree, binomial_tree
 from repro.models.lmo_extended import ExtendedLMOModel
 
@@ -30,246 +40,37 @@ __all__ = [
     "predict_reduce_bcast_allreduce",
     "predict_collective",
     "predict_collective_sweep",
+    "predict_vdg_bcast",
+    "predict_ring_reduce_scatter",
+    "predict_rabenseifner_allreduce",
+    "predict_linear_bcast_sweep",
+    "predict_binomial_bcast_sweep",
+    "predict_pipeline_bcast_sweep",
+    "predict_ring_allgather_sweep",
+    "predict_rd_allgather_sweep",
+    "predict_rd_allreduce_sweep",
+    "predict_reduce_bcast_allreduce_sweep",
+    "predict_vdg_bcast_sweep",
+    "predict_ring_reduce_scatter_sweep",
+    "predict_rabenseifner_allreduce_sweep",
 ]
 
 
-def predict_linear_bcast(model: ExtendedLMOModel, nbytes: float, root: int = 0) -> float:
-    """Linear bcast: like linear scatter with every block the full message."""
-    validate_nbytes(nbytes)
-    validate_rank(model.n, root)
-    others = [i for i in range(model.n) if i != root]
-    serial = len(others) * model.send_cost(root, nbytes)
-    parallel = max(model.wire_and_remote_cost(root, i, nbytes) for i in others)
-    return float(serial + parallel)
-
-
-def predict_binomial_bcast(
-    model: ExtendedLMOModel,
-    nbytes: float,
-    root: int = 0,
-    tree: Optional[CommTree] = None,
-) -> float:
-    """Binomial bcast: the scatter recursion with constant arc volume."""
-    validate_nbytes(nbytes)
-    if tree is None:
-        tree = binomial_tree(model.n, root)
-
-    def serial(i: int, _j: int, arc_nbytes: float) -> float:
-        del arc_nbytes
-        return model.send_cost(i, nbytes)
-
-    def parallel(i: int, j: int, arc_nbytes: float) -> float:
-        del arc_nbytes
-        return model.wire_and_remote_cost(i, j, nbytes)
-
-    # Pass block size 1 so arc volumes don't scale with sub-tree size:
-    # every bcast arc carries the full message, captured via the closures.
-    return predict_tree_time(tree, 1.0, serial, parallel)
-
-
-def predict_pipeline_bcast(
-    model: ExtendedLMOModel,
-    nbytes: float,
-    segment_nbytes: float,
-    root: int = 0,
-) -> float:
-    """Chain bcast in segments: pipe fill plus steady-state draining.
-
-    fill  = one segment traversing the whole chain;
-    drain = remaining segments behind the chain's bottleneck stage (each
-    intermediate node handles a segment twice: receive + forward).
-    """
-    validate_nbytes(nbytes)
-    validate_rank(model.n, root)
-    if segment_nbytes <= 0:
-        raise ValueError("segment_nbytes must be positive")
-    n = model.n
-    chain = [(root + k) % n for k in range(n)]
-    segments = max(1, math.ceil(nbytes / segment_nbytes))
-    seg = min(segment_nbytes, nbytes) if nbytes else 0.0
-
-    fill = 0.0
-    stage_costs = []
-    for u, v in zip(chain, chain[1:]):
-        hop = (
-            model.send_cost(u, seg)
-            + model.L[u, v]
-            + seg / model.beta[u, v]
-            + model.send_cost(v, seg)
-        )
-        fill += hop
-        stage_costs.append(hop)
-    # Intermediate nodes touch every segment twice (receive then forward).
-    for v in chain[1:-1]:
-        stage_costs.append(2 * model.send_cost(v, seg))
-    bottleneck = max(stage_costs)
-    return float(fill + (segments - 1) * bottleneck)
-
-
-def predict_ring_allgather(model: ExtendedLMOModel, nbytes: float) -> float:
-    """Ring allgather: ``n-1`` synchronized steps behind the slowest link."""
-    validate_nbytes(nbytes)
-    n = model.n
-    step = max(
-        model.send_cost(r, nbytes)
-        + model.L[r, (r + 1) % n]
-        + nbytes / model.beta[r, (r + 1) % n]
-        + model.send_cost((r + 1) % n, nbytes)
-        for r in range(n)
-    )
-    return float((n - 1) * step)
-
-
-def _rd_rounds(model: ExtendedLMOModel, volume_at_round) -> float:
-    """Shared butterfly evaluation: sum over rounds of the worst pairwise
-    exchange at that round's volume."""
-    n = model.n
-    if n & (n - 1):
-        raise ValueError(f"recursive doubling requires a power-of-two n, got {n}")
-    total = 0.0
-    distance = 1
-    round_idx = 0
-    while distance < n:
-        volume = volume_at_round(round_idx)
-        total += max(
-            # Full-duplex exchange: both directions overlap; the pair is
-            # done after one wire plus both endpoints' processing.
-            model.send_cost(r, volume)
-            + model.L[r, r ^ distance]
-            + volume / model.beta[r, r ^ distance]
-            + model.send_cost(r ^ distance, volume)
-            for r in range(n)
-        )
-        distance <<= 1
-        round_idx += 1
-    return float(total)
-
-
-def predict_rd_allgather(model: ExtendedLMOModel, block_nbytes: float) -> float:
-    """Recursive-doubling allgather: round k moves ``2^k`` blocks."""
-    validate_nbytes(block_nbytes)
-    return _rd_rounds(model, lambda k: (1 << k) * block_nbytes)
-
-
-def predict_rd_allreduce(model: ExtendedLMOModel, nbytes: float) -> float:
-    """Recursive-doubling allreduce: every round moves the full vector and
-    pays one combining pass (``nbytes * t``) on each endpoint."""
-    validate_nbytes(nbytes)
-    base = _rd_rounds(model, lambda _k: nbytes)
-    rounds = int(math.log2(model.n))
-    combine = rounds * nbytes * float(model.t.max())
-    return base + combine
-
-
-def predict_reduce_bcast_allreduce(
-    model: ExtendedLMOModel, nbytes: float, root: int = 0
-) -> float:
-    """Allreduce as binomial reduce + binomial bcast (both trees maxed)."""
-    from repro.models.collectives.formulas import predict_binomial_gather
-
-    validate_nbytes(nbytes)
-    tree = binomial_tree(model.n, root)
-    # Reduce ~ binomial gather with constant arc volume + combine passes.
-    def serial(i: int, _j: int, _b: float) -> float:
-        return model.send_cost(i, nbytes)
-
-    def parallel(i: int, j: int, _b: float) -> float:
-        return model.wire_and_remote_cost(i, j, nbytes) + nbytes * float(model.t[j])
-
-    reduce_time = predict_tree_time(tree, 1.0, serial, parallel)
-    del predict_binomial_gather  # documented relation; not reused directly
-    return float(reduce_time + predict_binomial_bcast(model, nbytes, root=root, tree=tree))
-
-
-#: (operation, algorithm) -> predictor over the extended LMO model.
-_PREDICTORS = {
-    ("bcast", "linear"): lambda m, nb, **kw: predict_linear_bcast(m, nb, **kw),
-    ("bcast", "binomial"): lambda m, nb, **kw: predict_binomial_bcast(m, nb, **kw),
-    ("bcast", "pipeline"): lambda m, nb, segment_nbytes=8192, **kw: predict_pipeline_bcast(
-        m, nb, segment_nbytes, **kw
-    ),
-    ("allgather", "ring"): lambda m, nb, **_kw: predict_ring_allgather(m, nb),
-    ("allgather", "recursive_doubling"): lambda m, nb, **_kw: predict_rd_allgather(m, nb),
-    ("allreduce", "recursive_doubling"): lambda m, nb, **_kw: predict_rd_allreduce(m, nb),
-    ("allreduce", "reduce_bcast"): lambda m, nb, **kw: predict_reduce_bcast_allreduce(
-        m, nb, **kw
-    ),
-}
-
-
-def predict_collective(
-    model: ExtendedLMOModel, operation: str, algorithm: str, nbytes: float, **kwargs
-) -> float:
-    """Unified entry point for the extended-algorithm predictions."""
-    try:
-        predictor = _PREDICTORS[(operation, algorithm)]
-    except KeyError:
-        known = sorted(f"{op}/{algo}" for op, algo in _PREDICTORS)
-        raise KeyError(
-            f"no predictor for {operation}/{algorithm}; available: {', '.join(known)}"
-        ) from None
-    return predictor(model, nbytes, **kwargs)
-
-
-def predict_vdg_bcast(model: ExtendedLMOModel, nbytes: float, root: int = 0) -> float:
-    """van de Geijn bcast: binomial scatter of segments + ring allgather."""
-    validate_nbytes(nbytes)
-    from repro.models.collectives.formulas import predict_binomial_scatter
-
-    segment = nbytes / model.n
-    return float(
-        predict_binomial_scatter(model, segment, root=root)
-        + predict_ring_allgather(model, segment)
+def _exchange(model: ExtendedLMOModel, i: int, j: int, nbytes) -> np.ndarray:
+    """One hop ``i -> j``: both endpoints' processing plus one wire."""
+    return (
+        model.send_cost_batch(i, nbytes)
+        + model.L[i, j]
+        + nbytes / model.beta[i, j]
+        + model.send_cost_batch(j, nbytes)
     )
 
 
-def predict_ring_reduce_scatter(model: ExtendedLMOModel, block_nbytes: float) -> float:
-    """Ring reduce-scatter: n-1 steps behind the slowest exchange+combine."""
-    validate_nbytes(block_nbytes)
-    n = model.n
-    step = max(
-        model.send_cost(r, block_nbytes)
-        + model.L[r, (r + 1) % n]
-        + block_nbytes / model.beta[r, (r + 1) % n]
-        + model.send_cost((r + 1) % n, block_nbytes)
-        + block_nbytes * float(model.t[(r + 1) % n])  # the combine pass
-        for r in range(n)
-    )
-    return float((n - 1) * step)
-
-
-def predict_rabenseifner_allreduce(model: ExtendedLMOModel, nbytes: float) -> float:
-    """Rabenseifner allreduce: ring reduce-scatter + ring allgather."""
-    validate_nbytes(nbytes)
-    block = nbytes / model.n
-    return float(predict_ring_reduce_scatter(model, block) + predict_ring_allgather(model, block))
-
-
-_PREDICTORS[("bcast", "van_de_geijn")] = lambda m, nb, **kw: predict_vdg_bcast(m, nb, **kw)
-_PREDICTORS[("reduce_scatter", "ring")] = lambda m, nb, **_kw: predict_ring_reduce_scatter(m, nb)
-_PREDICTORS[("allreduce", "rabenseifner")] = lambda m, nb, **_kw: predict_rabenseifner_allreduce(m, nb)
-
-__all__.extend(["predict_vdg_bcast", "predict_ring_reduce_scatter",
-                "predict_rabenseifner_allreduce"])
-
-
-# ====================================================================== sweeps
-# Vectorized menu: every predictor above, evaluated over a whole array of
-# message sizes in one pass.  Maxima over ranks/stages accumulate in the
-# same order as the scalar generators, so results match the element-wise
-# scalar loop bit for bit.
 def predict_linear_bcast_sweep(
     model: ExtendedLMOModel, sizes: ArrayLike, root: int = 0
 ) -> np.ndarray:
-    """Vectorized :func:`predict_linear_bcast`."""
-    nb = validate_nbytes_batch(sizes)
-    validate_rank(model.n, root)
-    others = [i for i in range(model.n) if i != root]
-    serial = len(others) * model.send_cost_batch(root, nb)
-    parallel = model.wire_and_remote_cost_batch(root, others[0], nb)
-    for i in others[1:]:
-        parallel = np.maximum(parallel, model.wire_and_remote_cost_batch(root, i, nb))
-    return serial + parallel
+    """Linear bcast: like linear scatter with every block the full message."""
+    return predict_linear_scatter_sweep(model, sizes, root)
 
 
 def predict_binomial_bcast_sweep(
@@ -278,14 +79,13 @@ def predict_binomial_bcast_sweep(
     root: int = 0,
     tree: Optional[CommTree] = None,
 ) -> np.ndarray:
-    """Vectorized :func:`predict_binomial_bcast`."""
+    """Binomial bcast: the scatter recursion with constant arc volume."""
     nb = validate_nbytes_batch(sizes)
     if tree is None:
         tree = binomial_tree(model.n, root)
 
-    # As in the scalar version, arc volumes don't scale with sub-tree
-    # size: the closures ignore the evaluator's per-arc bytes and charge
-    # the full message on every arc.
+    # Arc volumes don't scale with sub-tree size: the closures ignore the
+    # evaluator's per-arc bytes and charge the full message on every arc.
     def serial(i: int, _j: int, _arc_nbytes) -> np.ndarray:
         return model.send_cost_batch(i, nb)
 
@@ -301,7 +101,12 @@ def predict_pipeline_bcast_sweep(
     segment_nbytes: float,
     root: int = 0,
 ) -> np.ndarray:
-    """Vectorized :func:`predict_pipeline_bcast`."""
+    """Chain bcast in segments: pipe fill plus steady-state draining.
+
+    fill  = one segment traversing the whole chain;
+    drain = remaining segments behind the chain's bottleneck stage (each
+    intermediate node handles a segment twice: receive + forward).
+    """
     nb = validate_nbytes_batch(sizes)
     validate_rank(model.n, root)
     if segment_nbytes <= 0:
@@ -314,79 +119,66 @@ def predict_pipeline_bcast_sweep(
     fill = np.zeros(nb.shape)
     stage_costs = []
     for u, v in zip(chain, chain[1:]):
-        hop = (
-            model.send_cost_batch(u, seg)
-            + model.L[u, v]
-            + seg / model.beta[u, v]
-            + model.send_cost_batch(v, seg)
-        )
+        hop = _exchange(model, u, v, seg)
         fill = fill + hop
         stage_costs.append(hop)
+    # Intermediate nodes touch every segment twice (receive then forward).
     for v in chain[1:-1]:
         stage_costs.append(2 * model.send_cost_batch(v, seg))
-    bottleneck = stage_costs[0]
-    for cost in stage_costs[1:]:
-        bottleneck = np.maximum(bottleneck, cost)
-    return fill + (segments - 1) * bottleneck
+    return fill + (segments - 1) * _max_over(stage_costs)
+
+
+def _ring_steps(model: ExtendedLMOModel, nb: np.ndarray, combine: bool) -> np.ndarray:
+    """``n-1`` synchronized ring steps behind the slowest exchange, each
+    optionally followed by a combining pass on the receiver."""
+    n = model.n
+
+    def step(r: int) -> np.ndarray:
+        cost = _exchange(model, r, (r + 1) % n, nb)
+        return cost + nb * float(model.t[(r + 1) % n]) if combine else cost
+
+    return (n - 1) * _max_over(step(r) for r in range(n))
 
 
 def predict_ring_allgather_sweep(model: ExtendedLMOModel, sizes: ArrayLike) -> np.ndarray:
-    """Vectorized :func:`predict_ring_allgather`."""
-    nb = validate_nbytes_batch(sizes)
-    n = model.n
-
-    def exchange(r: int) -> np.ndarray:
-        return (
-            model.send_cost_batch(r, nb)
-            + model.L[r, (r + 1) % n]
-            + nb / model.beta[r, (r + 1) % n]
-            + model.send_cost_batch((r + 1) % n, nb)
-        )
-
-    step = exchange(0)
-    for r in range(1, n):
-        step = np.maximum(step, exchange(r))
-    return (n - 1) * step
+    """Ring allgather: ``n-1`` synchronized steps behind the slowest link."""
+    return _ring_steps(model, validate_nbytes_batch(sizes), combine=False)
 
 
-def _rd_rounds_sweep(model: ExtendedLMOModel, volume_at_round) -> np.ndarray:
+def predict_ring_reduce_scatter_sweep(
+    model: ExtendedLMOModel, sizes: ArrayLike
+) -> np.ndarray:
+    """Ring reduce-scatter: n-1 steps behind the slowest exchange+combine."""
+    return _ring_steps(model, validate_nbytes_batch(sizes), combine=True)
+
+
+def _rd_rounds(model: ExtendedLMOModel, volume_at_round) -> np.ndarray:
+    """Butterfly evaluation: sum over rounds of the worst pairwise
+    exchange at that round's volume.  A full-duplex exchange overlaps
+    both directions, so a pair is done after one wire plus both
+    endpoints' processing."""
     n = model.n
     if n & (n - 1):
         raise ValueError(f"recursive doubling requires a power-of-two n, got {n}")
-    total = None
-    distance = 1
-    round_idx = 0
-    while distance < n:
-        volume = volume_at_round(round_idx)
 
-        def exchange(r: int) -> np.ndarray:
-            return (
-                model.send_cost_batch(r, volume)
-                + model.L[r, r ^ distance]
-                + volume / model.beta[r, r ^ distance]
-                + model.send_cost_batch(r ^ distance, volume)
-            )
+    def worst_exchange(k: int) -> np.ndarray:
+        volume = volume_at_round(k)
+        return _max_over(_exchange(model, r, r ^ (1 << k), volume) for r in range(n))
 
-        worst = exchange(0)
-        for r in range(1, n):
-            worst = np.maximum(worst, exchange(r))
-        total = worst if total is None else total + worst
-        distance <<= 1
-        round_idx += 1
-    assert total is not None
-    return total
+    return _sum_over(worst_exchange(k) for k in range(n.bit_length() - 1))
 
 
 def predict_rd_allgather_sweep(model: ExtendedLMOModel, sizes: ArrayLike) -> np.ndarray:
-    """Vectorized :func:`predict_rd_allgather`."""
+    """Recursive-doubling allgather: round k moves ``2^k`` blocks."""
     nb = validate_nbytes_batch(sizes)
-    return _rd_rounds_sweep(model, lambda k: (1 << k) * nb)
+    return _rd_rounds(model, lambda k: (1 << k) * nb)
 
 
 def predict_rd_allreduce_sweep(model: ExtendedLMOModel, sizes: ArrayLike) -> np.ndarray:
-    """Vectorized :func:`predict_rd_allreduce`."""
+    """Recursive-doubling allreduce: every round moves the full vector and
+    pays one combining pass (``nbytes * t``) on each endpoint."""
     nb = validate_nbytes_batch(sizes)
-    base = _rd_rounds_sweep(model, lambda _k: nb)
+    base = _rd_rounds(model, lambda _k: nb)
     rounds = int(math.log2(model.n))
     return base + rounds * nb * float(model.t.max())
 
@@ -394,10 +186,11 @@ def predict_rd_allreduce_sweep(model: ExtendedLMOModel, sizes: ArrayLike) -> np.
 def predict_reduce_bcast_allreduce_sweep(
     model: ExtendedLMOModel, sizes: ArrayLike, root: int = 0
 ) -> np.ndarray:
-    """Vectorized :func:`predict_reduce_bcast_allreduce`."""
+    """Allreduce as binomial reduce + binomial bcast (both trees maxed)."""
     nb = validate_nbytes_batch(sizes)
     tree = binomial_tree(model.n, root)
 
+    # Reduce ~ binomial gather with constant arc volume + combine passes.
     def serial(i: int, _j: int, _b) -> np.ndarray:
         return model.send_cost_batch(i, nb)
 
@@ -411,64 +204,36 @@ def predict_reduce_bcast_allreduce_sweep(
 def predict_vdg_bcast_sweep(
     model: ExtendedLMOModel, sizes: ArrayLike, root: int = 0
 ) -> np.ndarray:
-    """Vectorized :func:`predict_vdg_bcast`."""
-    nb = validate_nbytes_batch(sizes)
-    from repro.models.collectives.formulas import predict_binomial_scatter_sweep
-
-    segment = nb / model.n
+    """van de Geijn bcast: binomial scatter of segments + ring allgather."""
+    segment = validate_nbytes_batch(sizes) / model.n
     return (
         predict_binomial_scatter_sweep(model, segment, root=root)
         + predict_ring_allgather_sweep(model, segment)
     )
 
 
-def predict_ring_reduce_scatter_sweep(
-    model: ExtendedLMOModel, sizes: ArrayLike
-) -> np.ndarray:
-    """Vectorized :func:`predict_ring_reduce_scatter`."""
-    nb = validate_nbytes_batch(sizes)
-    n = model.n
-
-    def exchange(r: int) -> np.ndarray:
-        return (
-            model.send_cost_batch(r, nb)
-            + model.L[r, (r + 1) % n]
-            + nb / model.beta[r, (r + 1) % n]
-            + model.send_cost_batch((r + 1) % n, nb)
-            + nb * float(model.t[(r + 1) % n])
-        )
-
-    step = exchange(0)
-    for r in range(1, n):
-        step = np.maximum(step, exchange(r))
-    return (n - 1) * step
-
-
 def predict_rabenseifner_allreduce_sweep(
     model: ExtendedLMOModel, sizes: ArrayLike
 ) -> np.ndarray:
-    """Vectorized :func:`predict_rabenseifner_allreduce`."""
-    nb = validate_nbytes_batch(sizes)
-    block = nb / model.n
+    """Rabenseifner allreduce: ring reduce-scatter + ring allgather."""
+    block = validate_nbytes_batch(sizes) / model.n
     return predict_ring_reduce_scatter_sweep(model, block) + predict_ring_allgather_sweep(
         model, block
     )
 
 
-#: (operation, algorithm) -> vectorized predictor, mirroring ``_PREDICTORS``.
-_SWEEP_PREDICTORS = {
-    ("bcast", "linear"): lambda m, nb, **kw: predict_linear_bcast_sweep(m, nb, **kw),
-    ("bcast", "binomial"): lambda m, nb, **kw: predict_binomial_bcast_sweep(m, nb, **kw),
+#: (operation, algorithm) -> sweep over the extended LMO model.
+_PREDICTORS = {
+    ("bcast", "linear"): predict_linear_bcast_sweep,
+    ("bcast", "binomial"): predict_binomial_bcast_sweep,
     ("bcast", "pipeline"): lambda m, nb, segment_nbytes=8192, **kw: (
         predict_pipeline_bcast_sweep(m, nb, segment_nbytes, **kw)
     ),
-    ("bcast", "van_de_geijn"): lambda m, nb, **kw: predict_vdg_bcast_sweep(m, nb, **kw),
+    ("bcast", "van_de_geijn"): predict_vdg_bcast_sweep,
     ("allgather", "ring"): lambda m, nb, **_kw: predict_ring_allgather_sweep(m, nb),
     ("allgather", "recursive_doubling"): lambda m, nb, **_kw: predict_rd_allgather_sweep(m, nb),
     ("allreduce", "recursive_doubling"): lambda m, nb, **_kw: predict_rd_allreduce_sweep(m, nb),
-    ("allreduce", "reduce_bcast"): lambda m, nb, **kw: (
-        predict_reduce_bcast_allreduce_sweep(m, nb, **kw)
-    ),
+    ("allreduce", "reduce_bcast"): predict_reduce_bcast_allreduce_sweep,
     ("allreduce", "rabenseifner"): lambda m, nb, **_kw: (
         predict_rabenseifner_allreduce_sweep(m, nb)
     ),
@@ -483,26 +248,82 @@ def predict_collective_sweep(
     sizes: ArrayLike,
     **kwargs,
 ) -> np.ndarray:
-    """Vectorized :func:`predict_collective` over an array of sizes."""
+    """Unified entry point for the extended-algorithm predictions."""
     try:
-        predictor = _SWEEP_PREDICTORS[(operation, algorithm)]
+        predictor = _PREDICTORS[(operation, algorithm)]
     except KeyError:
-        known = sorted(f"{op}/{algo}" for op, algo in _SWEEP_PREDICTORS)
+        known = sorted(f"{op}/{algo}" for op, algo in _PREDICTORS)
         raise KeyError(
             f"no predictor for {operation}/{algorithm}; available: {', '.join(known)}"
         ) from None
     return predictor(model, validate_nbytes_batch(sizes), **kwargs)
 
 
-__all__.extend([
-    "predict_linear_bcast_sweep",
-    "predict_binomial_bcast_sweep",
-    "predict_pipeline_bcast_sweep",
-    "predict_ring_allgather_sweep",
-    "predict_rd_allgather_sweep",
-    "predict_rd_allreduce_sweep",
-    "predict_reduce_bcast_allreduce_sweep",
-    "predict_vdg_bcast_sweep",
-    "predict_ring_reduce_scatter_sweep",
-    "predict_rabenseifner_allreduce_sweep",
-])
+# ============================================================ one-size forms
+def predict_collective(
+    model: ExtendedLMOModel, operation: str, algorithm: str, nbytes: float, **kwargs
+) -> float:
+    """One-size :func:`predict_collective_sweep`."""
+    return float(predict_collective_sweep(model, operation, algorithm, nbytes, **kwargs))
+
+
+def predict_linear_bcast(model: ExtendedLMOModel, nbytes: float, root: int = 0) -> float:
+    """One-size :func:`predict_linear_bcast_sweep`."""
+    return float(predict_linear_bcast_sweep(model, nbytes, root))
+
+
+def predict_binomial_bcast(
+    model: ExtendedLMOModel,
+    nbytes: float,
+    root: int = 0,
+    tree: Optional[CommTree] = None,
+) -> float:
+    """One-size :func:`predict_binomial_bcast_sweep`."""
+    return float(predict_binomial_bcast_sweep(model, nbytes, root, tree))
+
+
+def predict_pipeline_bcast(
+    model: ExtendedLMOModel,
+    nbytes: float,
+    segment_nbytes: float,
+    root: int = 0,
+) -> float:
+    """One-size :func:`predict_pipeline_bcast_sweep`."""
+    return float(predict_pipeline_bcast_sweep(model, nbytes, segment_nbytes, root))
+
+
+def predict_ring_allgather(model: ExtendedLMOModel, nbytes: float) -> float:
+    """One-size :func:`predict_ring_allgather_sweep`."""
+    return float(predict_ring_allgather_sweep(model, nbytes))
+
+
+def predict_rd_allgather(model: ExtendedLMOModel, block_nbytes: float) -> float:
+    """One-size :func:`predict_rd_allgather_sweep`."""
+    return float(predict_rd_allgather_sweep(model, block_nbytes))
+
+
+def predict_rd_allreduce(model: ExtendedLMOModel, nbytes: float) -> float:
+    """One-size :func:`predict_rd_allreduce_sweep`."""
+    return float(predict_rd_allreduce_sweep(model, nbytes))
+
+
+def predict_reduce_bcast_allreduce(
+    model: ExtendedLMOModel, nbytes: float, root: int = 0
+) -> float:
+    """One-size :func:`predict_reduce_bcast_allreduce_sweep`."""
+    return float(predict_reduce_bcast_allreduce_sweep(model, nbytes, root))
+
+
+def predict_vdg_bcast(model: ExtendedLMOModel, nbytes: float, root: int = 0) -> float:
+    """One-size :func:`predict_vdg_bcast_sweep`."""
+    return float(predict_vdg_bcast_sweep(model, nbytes, root))
+
+
+def predict_ring_reduce_scatter(model: ExtendedLMOModel, block_nbytes: float) -> float:
+    """One-size :func:`predict_ring_reduce_scatter_sweep`."""
+    return float(predict_ring_reduce_scatter_sweep(model, block_nbytes))
+
+
+def predict_rabenseifner_allreduce(model: ExtendedLMOModel, nbytes: float) -> float:
+    """One-size :func:`predict_rabenseifner_allreduce_sweep`."""
+    return float(predict_rabenseifner_allreduce_sweep(model, nbytes))

@@ -15,10 +15,11 @@ differently:
 * the extended LMO model serializes only ``C_i + M t_i`` and parallelizes
   ``L_ij + M/beta_ij + C_j + M t_j``.
 
-:func:`predict_tree_time` implements the recursion for any
-:class:`~repro.models.collectives.trees.CommTree` — binomial trees give
-the paper's formulas (1)-(2); flat trees give the *pipelined* variant of
-the linear formulas.
+:func:`predict_tree_time_batch` implements the recursion for any
+:class:`~repro.models.collectives.trees.CommTree` over a whole array of
+block sizes — binomial trees give the paper's formulas (1)-(2); flat
+trees give the *pipelined* variant of the linear formulas.
+:func:`predict_tree_time` is its one-size form.
 """
 
 from __future__ import annotations
@@ -32,52 +33,7 @@ from repro.models.collectives.trees import CommTree
 
 __all__ = ["predict_tree_time", "predict_tree_time_batch"]
 
-CostFn = Callable[[int, int, float], float]
 BatchCostFn = Callable[[int, int, np.ndarray], np.ndarray]
-
-
-def predict_tree_time(
-    tree: CommTree,
-    block_nbytes: float,
-    serial_cost: CostFn,
-    parallel_cost: CostFn,
-) -> float:
-    """Makespan of a tree collective under a serial/parallel cost split.
-
-    Parameters
-    ----------
-    tree:
-        The communication tree; each arc carries ``blocks * block_nbytes``
-        bytes.
-    serial_cost / parallel_cost:
-        ``f(sender, receiver, nbytes)`` — the serialized (sender-side) and
-        parallelizable (network + receiver) parts of one transfer.
-
-    Notes
-    -----
-    For scatter the recursion reads top-down; by symmetry of max/sum the
-    same value is the paper's gather estimate over the reversed tree, so
-    no separate gather evaluator is needed for the deterministic branch.
-    """
-    if block_nbytes < 0:
-        raise ValueError(f"negative block size {block_nbytes!r}")
-
-    def subtree(rank: int) -> float:
-        kids = tree.children[rank]
-
-        def chain(idx: int) -> float:
-            if idx == len(kids):
-                return 0.0
-            child, blocks = kids[idx]
-            nbytes = blocks * block_nbytes
-            return serial_cost(rank, child, nbytes) + max(
-                chain(idx + 1),
-                parallel_cost(rank, child, nbytes) + subtree(child),
-            )
-
-        return chain(0)
-
-    return subtree(tree.root)
 
 
 def predict_tree_time_batch(
@@ -86,17 +42,31 @@ def predict_tree_time_batch(
     serial_cost: BatchCostFn,
     parallel_cost: BatchCostFn,
 ) -> np.ndarray:
-    """Vectorized :func:`predict_tree_time` over an array of block sizes.
+    """Makespans of a tree collective under a serial/parallel cost split.
 
+    Parameters
+    ----------
+    tree:
+        The communication tree; each arc carries ``blocks * block_nbytes``
+        bytes.
+    block_nbytes:
+        One block size or an array of them.
+    serial_cost / parallel_cost:
+        ``f(sender, receiver, nbytes)`` — the serialized (sender-side) and
+        parallelizable (network + receiver) parts of one transfer, given
+        the per-arc byte array and returning the matching cost array.
+
+    Notes
+    -----
     The recursion is evaluated once per tree *node* instead of once per
-    (node, size): each cost callback receives the whole per-arc byte
-    array (``blocks * block_nbytes``) and returns the matching cost
-    array, so a 200-point message-size sweep costs one tree walk of
-    NumPy ops — this is the hot path of the batched prediction engine.
+    (node, size), so a 200-point message-size sweep costs one tree walk
+    of NumPy ops — the hot path of the batched prediction engine.  The
+    chain ``serial + max(rest, parallel + subtree)`` is evaluated
+    right-to-left over each node's children.
 
-    The chain recursion ``serial + max(rest, parallel + subtree)`` is
-    evaluated right-to-left over each node's children, which is exactly
-    the scalar evaluator's nesting.
+    For scatter the recursion reads top-down; by symmetry of max/sum the
+    same value is the paper's gather estimate over the reversed tree, so
+    no separate gather evaluator is needed for the deterministic branch.
     """
     nb = validate_nbytes_batch(block_nbytes)
 
@@ -110,3 +80,13 @@ def predict_tree_time_batch(
         return acc
 
     return np.broadcast_to(subtree(tree.root), nb.shape).copy()
+
+
+def predict_tree_time(
+    tree: CommTree,
+    block_nbytes: float,
+    serial_cost: BatchCostFn,
+    parallel_cost: BatchCostFn,
+) -> float:
+    """One-size :func:`predict_tree_time_batch`: the makespan as a float."""
+    return float(predict_tree_time_batch(tree, block_nbytes, serial_cost, parallel_cost))

@@ -67,10 +67,7 @@ class GatherIrregularity:
 
     def escalation_probability(self, nbytes: float) -> float:
         """Interpolated escalation probability at message size ``nbytes``."""
-        if nbytes <= self.m1 or nbytes > self.m2:
-            return 0.0
-        frac = (nbytes - self.m1) / (self.m2 - self.m1)
-        return self.p_at_m1 + frac * (self.p_at_m2 - self.p_at_m1)
+        return float(self.escalation_probability_batch(nbytes))
 
     def regime(self, nbytes: float) -> str:
         """``"small"`` (M < m1), ``"medium"``, or ``"large"`` (M > m2)."""
@@ -81,7 +78,8 @@ class GatherIrregularity:
         return "medium"
 
     def escalation_probability_batch(self, nbytes: ArrayLike) -> np.ndarray:
-        """Vectorized :meth:`escalation_probability`."""
+        """Escalation probabilities over an array of message sizes: zero
+        outside ``(m1, m2]``, linear from ``p_at_m1`` to ``p_at_m2`` inside."""
         nb = np.asarray(nbytes, dtype=float)
         frac = (nb - self.m1) / (self.m2 - self.m1)
         p = self.p_at_m1 + frac * (self.p_at_m2 - self.p_at_m1)

@@ -22,7 +22,6 @@ import numpy as np
 from repro.models.base import (
     ArrayLike,
     broadcast_result,
-    validate_nbytes,
     validate_nbytes_batch,
     validate_rank_batch,
 )
@@ -71,15 +70,12 @@ class LogPModel:
 
     def packets(self, nbytes: float) -> int:
         """Number of packets a message of ``nbytes`` decomposes into."""
-        validate_nbytes(nbytes)
-        if nbytes == 0:
-            return 1
-        return -(-int(nbytes) // self.packet_bytes)
+        return int(self.packets_batch(nbytes))
 
     def packets_batch(self, nbytes: ArrayLike) -> np.ndarray:
-        """Vectorized :meth:`packets` (float array, exact integer values)."""
+        """Packet counts ``ceil(trunc(M) / w)`` (one for an empty message)
+        over an array of sizes, as floats with exact integer values."""
         nb = validate_nbytes_batch(nbytes)
-        # ceil(trunc(M) / w) mirrors -(-int(M) // w) for non-negative M.
         k = np.ceil(np.trunc(nb) / self.packet_bytes)
         return np.where(nb == 0, 1.0, k)
 

@@ -15,7 +15,6 @@ paper's description of how PLogP measurement selects message sizes.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,21 +57,11 @@ class PiecewiseLinear:
         return PiecewiseLinear(xs, tuple(dedup[x] for x in xs))
 
     def __call__(self, x: float) -> float:
-        xs, ys = self.xs, self.ys
-        if len(xs) == 1:
-            return ys[0]
-        if x <= xs[0]:
-            k = 0
-        elif x >= xs[-1]:
-            k = len(xs) - 2
-        else:
-            k = bisect.bisect_right(xs, x) - 1
-        x0, x1 = xs[k], xs[k + 1]
-        y0, y1 = ys[k], ys[k + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        """The function's value at one point (a one-size :meth:`batch`)."""
+        return float(self.batch(x))
 
     def batch(self, x: ArrayLike) -> np.ndarray:
-        """Vectorized ``__call__``: same interpolation/extrapolation rules."""
+        """The function's values over an array of points."""
         arr = np.asarray(x, dtype=float)
         xs = np.asarray(self.xs)
         ys = np.asarray(self.ys)

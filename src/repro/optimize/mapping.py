@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Callable, Optional
 
 from repro.models.collectives.formulas import lmo_serial_parallel_split
-from repro.models.collectives.tree_eval import predict_tree_time
+from repro.models.collectives.tree_eval import predict_tree_time_batch
 from repro.models.collectives.trees import CommTree
 from repro.models.lmo_extended import ExtendedLMOModel
 
@@ -40,7 +40,7 @@ def predict_mapped_time(
 ) -> float:
     """Predicted tree-collective time with processors remapped by ``perm``."""
     serial, parallel = lmo_serial_parallel_split(model)
-    return predict_tree_time(tree.remap(perm), nbytes, serial, parallel)
+    return float(predict_tree_time_batch(tree.remap(perm), nbytes, serial, parallel))
 
 
 def optimize_mapping(
@@ -71,7 +71,7 @@ def optimize_mapping(
         serial, parallel = lmo_serial_parallel_split(model)
 
         def predictor(candidate: CommTree) -> float:
-            return predict_tree_time(candidate, nbytes, serial, parallel)
+            return float(predict_tree_time_batch(candidate, nbytes, serial, parallel))
 
     evaluations = 0
 

@@ -40,10 +40,7 @@ from repro.models.collectives.formulas import (
     predict_linear_gather_sweep,
     predict_linear_scatter_sweep,
 )
-from repro.models.collectives.formulas_ext import (
-    _SWEEP_PREDICTORS,
-    predict_collective_sweep,
-)
+from repro.models.collectives.formulas_ext import _PREDICTORS, predict_collective_sweep
 
 __all__ = [
     "PredictRequest",
@@ -123,7 +120,7 @@ def available_algorithms(model) -> list[tuple[str, str]]:
     """All (operation, algorithm) pairs predictable for ``model``."""
     pairs = [("p2p", "direct")] + sorted(_CORE_SWEEPS)
     if type(model).__name__ == "ExtendedLMOModel":
-        pairs += sorted(_SWEEP_PREDICTORS)
+        pairs += sorted(_PREDICTORS)
     return pairs
 
 
@@ -172,7 +169,8 @@ def predict_sweep(
 
     The result is memoized; the returned array is a copy, safe to
     mutate.  Extra ``kwargs`` (e.g. ``segment_nbytes`` for pipelined
-    bcast, ``dest`` for p2p) become part of the cache key.
+    bcast, ``dest`` for p2p) become part of the cache key, list and
+    array values (``participants``) as tuples.
     """
     global _hits, _misses, _evictions
     tel = _obs.ACTIVE
@@ -185,7 +183,10 @@ def predict_sweep(
         root,
         nb.shape,
         nb.tobytes(),
-        tuple(sorted(kwargs.items())),
+        tuple(sorted(
+            (name, tuple(value) if isinstance(value, (list, np.ndarray)) else value)
+            for name, value in kwargs.items()
+        )),
     )
     hit = _cache.get(key)
     if hit is not None:

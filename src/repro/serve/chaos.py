@@ -124,6 +124,24 @@ class ChaosStats:
         return f"ChaosStats({self.snapshot()})"
 
 
+def _shutdown_and_close(sock: socket.socket, how: int = socket.SHUT_RDWR) -> None:
+    """Shut a socket down, then close it.
+
+    The other pump thread may be blocked reading this socket; on Linux a
+    bare ``close()`` then sends neither FIN nor RST, so the peer would
+    only notice at its timeout.  ``shutdown()`` wakes the reader and
+    lets the close go out at once.
+    """
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 def _hard_reset(sock: socket.socket) -> None:
     """Close a socket so the peer sees RST, not a graceful FIN."""
     try:
@@ -131,10 +149,9 @@ def _hard_reset(sock: socket.socket) -> None:
                         struct.pack("ii", 1, 0))
     except OSError:
         pass
-    try:
-        sock.close()
-    except OSError:
-        pass
+    # SHUT_RD wakes a blocked reader without sending FIN, so the
+    # linger-0 close still goes out as RST.
+    _shutdown_and_close(sock, socket.SHUT_RD)
 
 
 def _read_line(conn: socket.socket, buffer: bytearray) -> Optional[bytes]:
@@ -177,14 +194,8 @@ class _Connection:
         if reset:
             _hard_reset(self.client)
         else:
-            try:
-                self.client.close()
-            except OSError:
-                pass
-        try:
-            self.upstream.close()
-        except OSError:
-            pass
+            _shutdown_and_close(self.client)
+        _shutdown_and_close(self.upstream)
 
 
 class ChaosProxy:

@@ -1,8 +1,10 @@
-"""Property tests: the vectorized batch path IS the scalar path.
+"""Property tests: a sweep over many sizes equals its one-size calls.
 
-``p2p_time`` is a thin wrapper over ``p2p_time_batch``, and every sweep
-formula accumulates in the same order as its scalar counterpart, so
-equality here is exact (``==``), not approximate.
+``p2p_time`` is a thin wrapper over ``p2p_time_batch``, and every scalar
+collective predictor is a one-size call of its sweep, so equality here
+is exact (``==``), not approximate: a sweep's value at one size must not
+depend on the other sizes in the array.  The formula values themselves
+are pinned by ``test_golden_formulas.py``.
 """
 
 import numpy as np

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import api
+from repro.api.errors import InvalidRequest
 from repro.cluster import GroundTruth
 from repro.models import (
     ExtendedLMOModel,
@@ -18,10 +20,13 @@ from repro.models import (
     predict_binomial_gather,
     predict_binomial_scatter,
     predict_linear_gather,
+    predict_linear_gather_sweep,
     predict_linear_pipelined,
     predict_linear_scatter,
+    predict_linear_scatter_sweep,
     predict_tree_time,
 )
+from tests.models.test_batch import all_models
 
 KB = 1024
 
@@ -104,6 +109,26 @@ def test_participants_subset_and_validation():
         predict_linear_scatter(model, KB, root=5, participants=[0, 1])
     with pytest.raises(ValueError, match="duplicate"):
         predict_linear_scatter(model, KB, participants=[0, 1, 1])
+
+
+@pytest.mark.parametrize("root,participants,message", [
+    (0, (0, -1), "out of range"),
+    (0, (0, 9), "out of range"),
+    (0, (0,), "besides the root"),
+    (3, (3,), "besides the root"),
+])
+def test_bad_participant_lists_are_rejected(root, participants, message):
+    """Every model rejects out-of-range ranks and root-only lists, in the
+    formulas and through the facade, instead of wrapping or crashing."""
+    for model in all_models(n=6):
+        for predict in (predict_linear_scatter, predict_linear_gather,
+                        predict_linear_scatter_sweep, predict_linear_gather_sweep):
+            with pytest.raises(ValueError, match=message):
+                predict(model, KB, root=root, participants=participants)
+        for operation in ("scatter", "gather"):
+            with pytest.raises(InvalidRequest, match=message):
+                api.predict(model, operation, "linear", KB, root=root,
+                            participants=participants)
 
 
 def test_unknown_model_type_rejected():

@@ -106,6 +106,10 @@ def test_server_stays_healthy_after_a_fault_storm(host):
         with _resilient(proxy, retries=30) as client:
             for i in range(60):
                 client.predict("lmo", "gather", "linear", float(KB * (i + 1)))
+    # The storm really blew: every injected fault kind hit at least once.
+    injected = proxy.stats.snapshot()
+    for kind in ("resets", "partials", "corruptions", "delays"):
+        assert injected[kind] > 0, injected
     # Straight to the server, no proxy: alive, sane, zero queued residue.
     with host.client() as direct:
         health = direct.health()

@@ -88,6 +88,17 @@ def test_predict_gather_carries_regime(outcome):
     assert 0 <= p.escalation_probability <= 1
 
 
+def test_predict_accepts_participants_as_a_list_or_a_tuple(outcome):
+    for operation in ("scatter", "gather"):
+        as_list = api.predict(outcome.model, operation, "linear", 65536,
+                              participants=[0, 1, 2])
+        as_tuple = api.predict(outcome.model, operation, "linear", 65536,
+                               participants=(0, 1, 2))
+        assert as_list == as_tuple
+        assert as_list.seconds < api.predict(outcome.model, operation, "linear",
+                                             65536).seconds
+
+
 def test_predict_unsupported_pair_raises(outcome):
     het = HeterogeneousHockneyModel.from_ground_truth(
         api.load_cluster(nodes=4).ground_truth
