@@ -110,8 +110,8 @@ def count_hooks(tmp_path):
         events = len(tel.events) + tel.events.dropped
         # Per-site accounting, deliberately over-counted:
         #  - kernel: one always-on int increment per simulated event plus
-        #    the ``profiler is None`` branch in ``step()`` (each counted
-        #    as a full guard even though they are cheaper) — 2 per event;
+        #    the event loop's ``prof is None`` test (each counted as a
+        #    full guard even though they are cheaper) — 2 per event;
         #  - journal: guard + histogram + counter ~ 3 guard-equivalents;
         #  - units: started/done/retry/wall hooks ~ 6 per unit;
         #  - spans/events/checkpoints: 2 each for enter/exit.

@@ -24,7 +24,7 @@ on top of :meth:`SimulatedCluster.transmit`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Any, Generator, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.cluster.params import GroundTruth, synthesize_ground_truth
 from repro.cluster.profiles import LAM_7_1_3, MpiProfile
 from repro.cluster.spec import ClusterSpec
 from repro.obs import runtime as _obs
-from repro.simlib import Event, Resource, Simulator
+from repro.simlib import Event, Resource, Simulator, Store
 from repro.simlib.trace import Tracer
 
 __all__ = ["SimulatedCluster", "TransportStats"]
@@ -72,30 +72,20 @@ class _PortState:
     escalations even though the total bytes are unchanged.)
     """
 
-    backlog_bytes: float = 0.0
     sender_queues: dict[int, list[float]] = field(default_factory=dict)
 
     def enqueue(self, src: int, nbytes: float) -> None:
-        self.backlog_bytes += nbytes
         self.sender_queues.setdefault(src, []).append(nbytes)
 
     def dequeue(self, src: int, nbytes: float) -> None:
-        self.backlog_bytes -= nbytes
         queue = self.sender_queues[src]
         queue.remove(nbytes)
         if not queue:
             del self.sender_queues[src]
 
-    @property
-    def n_senders(self) -> int:
-        return len(self.sender_queues)
-
     def burst_bytes(self) -> float:
         """Bytes of the synchronized burst: one head message per sender."""
         return sum(queue[0] for queue in self.sender_queues.values())
-
-    def has_sender(self, src: int) -> bool:
-        return src in self.sender_queues
 
 
 class SimulatedCluster:
@@ -160,6 +150,27 @@ class SimulatedCluster:
     def n(self) -> int:
         """Number of nodes."""
         return self.spec.n
+
+    @property
+    def ground_truth(self) -> GroundTruth:
+        """The LMO parameters of the hardware.
+
+        Assigning a new one (as :meth:`degrade_node`, :meth:`degrade_link`
+        and :meth:`attach_topology` do) also rebuilds the Python-float
+        tables the transport reads; edit the arrays of a ground truth in
+        place and the transport will not see it.
+        """
+        return self._ground_truth
+
+    @ground_truth.setter
+    def ground_truth(self, value: GroundTruth) -> None:
+        self._ground_truth = value
+        # Indexing a list of Python floats is much cheaper than reading a
+        # numpy scalar, and float arithmetic rounds exactly as float64 does.
+        self._C = value.C.tolist()
+        self._t = value.t.tolist()
+        self._L = value.L.tolist()
+        self._beta = value.beta.tolist()
 
     def reset(self) -> None:
         """Fresh simulator at time zero (RNG state is preserved).
@@ -234,21 +245,21 @@ class SimulatedCluster:
     # -- effective (fault-aware) hardware parameters -------------------------
     def processing_cost(self, node: int, nbytes: float) -> float:
         """CPU cost ``C + M t`` of ``node``, after any active slowdown."""
-        cost = self.ground_truth.send_cost(node, nbytes)
+        cost = self._C[node] + nbytes * self._t[node]
         if self.injector is not None:
             cost *= self.injector.cpu_factor(node)
         return cost
 
     def effective_latency(self, src: int, dst: int) -> float:
         """Link latency ``L_ij``, after any active link degradation."""
-        latency = self.ground_truth.L[src, dst]
+        latency = self._L[src][dst]
         if self.injector is not None:
             latency *= self.injector.link_factors(src, dst)[0]
         return latency
 
     def effective_rate(self, src: int, dst: int) -> float:
         """Link rate ``beta_ij``, after any active link degradation."""
-        rate = self.ground_truth.beta[src, dst]
+        rate = self._beta[src][dst]
         if self.injector is not None:
             rate *= self.injector.link_factors(src, dst)[1]
         return rate
@@ -261,6 +272,8 @@ class SimulatedCluster:
         nbytes: int,
         rendezvous_ready: Optional[Event] = None,
         on_sent: Optional[Event] = None,
+        mailbox: Optional[Store] = None,
+        envelope: Any = None,
     ) -> Generator:
         """Move ``nbytes`` from ``src`` to ``dst`` through the switch.
 
@@ -270,7 +283,9 @@ class SimulatedCluster:
         delivers it to the matching receive, *charging the receiver's CPU
         cost* ``C_dst + nbytes*t_dst`` inside the receive call (the memcpy
         out of the transport buffer happens in ``MPI_Recv``, which is what
-        makes PLogP's ``o_r`` measurable).
+        makes PLogP's ``o_r`` measurable).  When ``mailbox`` is given,
+        ``envelope`` is put into it at that point; the generator returns
+        ``envelope``.
 
         Stages (matching the extended-LMO decomposition):
 
@@ -287,9 +302,10 @@ class SimulatedCluster:
             raise ValueError("transmit requires distinct src and dst")
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
-        prof, sim = self.profile, self.sim
-        self.stats.messages += 1
-        self.stats.bytes_sent += nbytes
+        prof, sim, stats, tracer = self.profile, self.sim, self.stats, self.tracer
+        perturb, rng = self.noise.perturb, self.rng
+        stats.messages += 1
+        stats.bytes_sent += nbytes
 
         if self.injector is not None:
             # A hung endpoint stalls the transfer before it starts.
@@ -298,28 +314,30 @@ class SimulatedCluster:
                 yield sim.timeout(stall)
 
         # -- stage 1: sender CPU -----------------------------------------
-        usage = self.cpu[src].request()
+        cpu = self.cpu[src]
+        usage = cpu.request()
         yield usage
         cpu_start = sim.now
         try:
             if prof.uses_rendezvous(nbytes):
-                self.stats.rendezvous_handshakes += 1
+                stats.rendezvous_handshakes += 1
                 # Request-to-send / clear-to-send round trip over the link.
-                yield sim.timeout(self.noisy(2.0 * self.effective_latency(src, dst)))
+                yield sim.timeout(perturb(2.0 * self.effective_latency(src, dst), rng))
                 if rendezvous_ready is not None and not rendezvous_ready.processed:
                     yield rendezvous_ready
             cpu_cost = self.processing_cost(src, nbytes) + prof.sender_protocol_overhead(nbytes)
-            yield sim.timeout(self.noisy(cpu_cost))
+            yield sim.timeout(perturb(cpu_cost, rng))
         finally:
-            self.cpu[src].release(usage)
-            self.trace(f"cpu{src}", cpu_start, sim.now, "s")
+            cpu.release(usage)
+            if tracer is not None:
+                tracer.record(f"cpu{src}", cpu_start, sim.now, "s")
         if on_sent is not None:
             # A blocking MPI send returns here: the buffer has been handed
             # to the transport and the sender CPU is free again.
             on_sent.succeed(sim.now)
 
         # -- stage 2: switch + destination port ---------------------------
-        yield sim.timeout(self.noisy(self.effective_latency(src, dst)))
+        yield sim.timeout(perturb(self.effective_latency(src, dst), rng))
         if (
             self.uplink is not None
             and self.topology is not None
@@ -328,9 +346,10 @@ class SimulatedCluster:
             # Cross-switch flows share the inter-switch uplink.
             uplink_start = sim.now
             yield from self.uplink.hold(
-                sim, self.noisy(nbytes / self.topology.uplink_rate)
+                sim, perturb(nbytes / self.topology.uplink_rate, rng)
             )
-            self.trace("uplink", uplink_start, sim.now, "u")
+            if tracer is not None:
+                tracer.record("uplink", uplink_start, sim.now, "u")
         port_state = self._ports[dst]
         incast_delay = self._sample_escalation(port_state, src, nbytes)
         loss_delay = 0.0
@@ -362,8 +381,8 @@ class SimulatedCluster:
         port_state.enqueue(src, float(nbytes))
         try:
             if escalation > 0.0:
-                self.stats.escalations += 1
-                self.stats.escalation_time += escalation
+                stats.escalations += 1
+                stats.escalation_time += escalation
                 if tel is not None:
                     for cause, delay in (("incast", incast_delay), ("loss", loss_delay)):
                         if delay > 0.0:
@@ -383,19 +402,25 @@ class SimulatedCluster:
                             )
                 rto_start = sim.now
                 yield sim.timeout(escalation)
-                self.trace(f"port{dst}", rto_start, sim.now, "R")
-            usage = self.port[dst].request()
+                if tracer is not None:
+                    tracer.record(f"port{dst}", rto_start, sim.now, "R")
+            port = self.port[dst]
+            usage = port.request()
             if not usage.triggered:
-                self.stats.port_waits += 1
+                stats.port_waits += 1
             yield usage
             wire_start = sim.now
             try:
-                yield sim.timeout(self.noisy(nbytes / self.effective_rate(src, dst)))
+                yield sim.timeout(perturb(nbytes / self.effective_rate(src, dst), rng))
             finally:
-                self.port[dst].release(usage)
-                self.trace(f"port{dst}", wire_start, sim.now, "w")
+                port.release(usage)
+                if tracer is not None:
+                    tracer.record(f"port{dst}", wire_start, sim.now, "w")
         finally:
             port_state.dequeue(src, float(nbytes))
+        if mailbox is not None:
+            mailbox.put(envelope)
+        return envelope
 
     def _sample_escalation(self, port_state: _PortState, src: int, nbytes: int) -> float:
         """Incast RTO delay for a flow about to enter a port (0.0 = none).
@@ -409,8 +434,10 @@ class SimulatedCluster:
         prof = self.profile
         if nbytes > prof.tcp_window or nbytes <= 0:
             return 0.0
-        already_bursting = port_state.has_sender(src)
-        n_senders = port_state.n_senders + (0 if already_bursting else 1)
+        already_bursting = src in port_state.sender_queues
+        n_senders = len(port_state.sender_queues) + (0 if already_bursting else 1)
+        if n_senders < prof.min_incast_senders:
+            return 0.0  # a lone self-clocked stream: no burst to sum
         burst = port_state.burst_bytes() + (0.0 if already_bursting else nbytes)
         p = prof.escalation_probability(burst, n_senders)
         if p <= 0.0 or self.rng.random() >= p:

@@ -49,8 +49,6 @@ class NoiseModel:
         """A noisy version of ``duration`` (never negative)."""
         if duration < 0:
             raise ValueError(f"negative duration {duration!r}")
-        if not self.enabled:
-            return duration
         value = duration
         if self.rel_sigma > 0:
             # Lognormal with unit median: exp(N(0, sigma)).

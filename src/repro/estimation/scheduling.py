@@ -77,19 +77,25 @@ def triplet_rounds(n: int) -> list[list[tuple[int, int, int]]]:
 
 
 def pack_rounds(items: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """First-fit packing of node tuples into rounds with disjoint nodes."""
+    """First-fit packing of node tuples into rounds with disjoint nodes.
+
+    Node sets are int bitmasks (bit ``i`` for node ``i``), so testing an
+    item against a round is one ``&``.
+    """
     rounds: list[list[tuple[int, ...]]] = []
-    occupied: list[set[int]] = []
+    occupied: list[int] = []
     for item in items:
-        nodes = set(item)
+        nodes = 0
+        for node in item:
+            nodes |= 1 << node
         for round_idx, used in enumerate(occupied):
-            if not (used & nodes):
+            if not used & nodes:
                 rounds[round_idx].append(item)
-                used |= nodes
+                occupied[round_idx] = used | nodes
                 break
         else:
             rounds.append([item])
-            occupied.append(set(nodes))
+            occupied.append(nodes)
     return rounds
 
 

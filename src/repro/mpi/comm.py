@@ -134,13 +134,11 @@ class MessageLayer:
         gate = None
         if cluster.profile.uses_rendezvous(nbytes):
             gate = self.rendezvous_gate(dst, src, tag)
-
-        def pipeline() -> Generator:
-            yield from cluster.transmit(src, dst, nbytes, rendezvous_ready=gate, on_sent=sent)
-            self.mailboxes[dst].put(env)
-            return env
-
-        proc = sim.spawn(pipeline(), name=f"msg{env.seq}:{src}->{dst}")
+        transfer = cluster.transmit(
+            src, dst, nbytes, rendezvous_ready=gate, on_sent=sent,
+            mailbox=self.mailboxes[dst], envelope=env,
+        )
+        proc = sim.spawn(transfer, name=f"msg{env.seq}:{src}->{dst}")
         return Request(kind="send", sent=sent, done=proc, envelope=env)
 
     def start_recv(self, dst: int, src: int, tag: int) -> Request:
@@ -178,11 +176,17 @@ class RankComm:
             raise ValueError(f"rank {rank} out of range for size {layer.size}")
         self.layer = layer
         self.rank = rank
+        self._physical = rank
 
     @property
     def size(self) -> int:
         """Number of ranks."""
         return self.layer.size
+
+    @property
+    def physical_rank(self) -> int:
+        """The underlying cluster node this rank runs on."""
+        return self._physical
 
     @property
     def sim(self):
@@ -231,20 +235,25 @@ class RankComm:
         rank's CPU for ``C + M t`` — the memcpy out of the transport
         buffer that real MPI performs inside ``MPI_Recv``/``MPI_Wait``.
         Returns the envelope.  For send requests it waits for remote
-        delivery and returns the envelope.
+        delivery and returns the envelope.  The CPU charged is the
+        physical node's, which a sub-communicator's group rank is not.
         """
         env = yield req.done
         if req.kind == "recv":
             cluster = self.layer.cluster
-            cost = cluster.noisy(cluster.processing_cost(self.rank, env.nbytes))
-            usage = cluster.cpu[self.rank].request()
+            node = self._physical
+            cost = cluster.noisy(cluster.processing_cost(node, env.nbytes))
+            cpu = cluster.cpu[node]
+            usage = cpu.request()
             yield usage
-            start = cluster.sim.now
+            sim = cluster.sim
+            start = sim.now
             try:
-                yield cluster.sim.timeout(cost)
+                yield sim.timeout(cost)
             finally:
-                cluster.cpu[self.rank].release(usage)
-                cluster.trace(f"cpu{self.rank}", start, cluster.sim.now, "r")
+                cpu.release(usage)
+                if cluster.tracer is not None:
+                    cluster.tracer.record(f"cpu{node}", start, sim.now, "r")
         return env
 
     def recv(self, source: int, tag: int = 0) -> Generator:
@@ -280,7 +289,7 @@ class GroupComm(RankComm):
     ``size`` are group-relative and destinations are translated to
     physical nodes at the send/receive boundary.  The receive-processing
     CPU accounting in :meth:`RankComm.wait` keys off the *physical* rank,
-    which :attr:`rank` here is not — hence the override below.
+    which :attr:`rank` here is not.
     """
 
     def __init__(self, layer: MessageLayer, members: list[int], member: int):
@@ -293,7 +302,6 @@ class GroupComm(RankComm):
             raise ValueError(f"node {member} is not in the group {members}")
         super().__init__(layer, member)
         self.members = list(members)
-        self._physical = member
         self._group_rank = members.index(member)
 
     # -- group-relative identity -------------------------------------------
@@ -312,11 +320,6 @@ class GroupComm(RankComm):
         # RankComm.__init__ assigns self.rank = world rank; swallow it —
         # the group identity is fixed by (members, member).
         pass
-
-    @property
-    def physical_rank(self) -> int:
-        """The underlying cluster node this group rank runs on."""
-        return self._physical
 
     def translate(self, group_rank: int) -> int:
         """Physical node of a group rank."""
@@ -339,18 +342,3 @@ class GroupComm(RankComm):
             raise ValueError("self-receives are not supported")
         physical_src = ANY_SOURCE if source == ANY_SOURCE else self.translate(source)
         return self.layer.start_recv(self._physical, physical_src, tag)
-
-    def wait(self, req: Request) -> Generator:
-        env = yield req.done
-        if req.kind == "recv":
-            cluster = self.layer.cluster
-            cost = cluster.noisy(cluster.processing_cost(self._physical, env.nbytes))
-            usage = cluster.cpu[self._physical].request()
-            yield usage
-            start = cluster.sim.now
-            try:
-                yield cluster.sim.timeout(cost)
-            finally:
-                cluster.cpu[self._physical].release(usage)
-                cluster.trace(f"cpu{self._physical}", start, cluster.sim.now, "r")
-        return env

@@ -17,13 +17,13 @@ Three layers:
   gets its own stack and accumulators (no per-event locking on the hot
   path); ``stats()`` merges them.
 * kernel hook — :class:`repro.simlib.kernel.Simulator` carries a
-  ``profiler`` attribute (``None`` by default; the disabled cost is one
-  attribute load and an ``is None`` branch per event, covered by the
-  ``BENCH_obs.json`` overhead gate).  When attached, every popped event
-  is timed under a frame named for its event type and — for process
-  resumptions — the process it resumes: ``Timeout``,
-  ``Event→proc:recv@3``, ...  That is the per-event-type / per-handler
-  attribution the kernel-optimization work needs.
+  ``profiler`` attribute (``None`` by default; the event loop reads it
+  once per run, so the disabled cost is a local ``is None`` test per
+  event, covered by the ``BENCH_obs.json`` overhead gate).  When
+  attached, every popped event is timed under a frame named for its
+  event type and — for process resumptions — the process it resumes:
+  ``Timeout``, ``Event→proc:recv@3``, ...  That is the per-event-type /
+  per-handler attribution the kernel-optimization work needs.
 * exports — :meth:`Profiler.collapsed` (Brendan-Gregg collapsed-stack
   lines, ``flamegraph.pl``-ready) and :meth:`Profiler.speedscope`
   (a https://speedscope.app document), plus :meth:`Profiler.to_dict`
@@ -148,9 +148,10 @@ class Profiler:
             self.end()
 
     # -- the kernel hook ------------------------------------------------------
-    # Called by Simulator.step() around event._fire(); the frame name
-    # attributes time to the event type and, for process resumptions, the
-    # process being resumed (the *handler*).
+    # Called by the Simulator's event loop around each event's callbacks
+    # (before it clears them); the frame name attributes time to the
+    # event type and, for process resumptions, the process being resumed
+    # (the *handler*).
     def event_begin(self, event: Any) -> None:
         self.events_recorded += 1
         name = type(event).__name__

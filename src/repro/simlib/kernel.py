@@ -14,11 +14,25 @@ domain stress avoiding needless object churn in inner loops):
   :class:`Interrupt` into it).
 * There is no global state: any number of :class:`Simulator` instances can
   coexist (the test-suite relies on this).
+
+The hot path is a pure-Python loop, so it is written for the interpreter:
+
+* :meth:`Simulator.run` and :meth:`Simulator.step` share one dispatch loop
+  (:meth:`Simulator._dispatch`) that pops and fires events inline, reads
+  the profiler hook once per call and keeps the event counter in a local.
+* A :class:`Timeout`, a new or finished :class:`Process` and an
+  immediately granted resource request push their heap entry directly,
+  without the ``Event.__init__`` → ``succeed`` → ``_schedule`` chain;
+  each process binds its resume callback and its generator's ``send``
+  once, not once per yield.
+* These shortcuts assign ``seq`` exactly where the general path would, so
+  the event order, and with it every random draw, is unchanged.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -36,6 +50,8 @@ __all__ = [
 #: are observed by acquisitions at time *t*.
 URGENT = 0
 NORMAL = 1
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -121,12 +137,10 @@ class Event:
         return self
 
     # -- internals ------------------------------------------------------
-    def _fire(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
+    def _abandon(self) -> None:
+        """Called when the last waiter of this unprocessed event is
+        interrupted.  Requests (resource slots, store gets) override it to
+        withdraw themselves; a plain event has nothing to give back."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
@@ -141,10 +155,13 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
-        self._triggered = True
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay, NORMAL)
+        self._exc = None
+        self._triggered = True
+        self._processed = False
+        heappush(sim._queue, (sim._now + delay, NORMAL, next(sim._ids), self))
 
 
 class Process(Event):
@@ -155,17 +172,27 @@ class Process(Event):
     failed, its exception is thrown into the generator (which may catch it).
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "_send", "_waiting_on", "_resume_cb", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._triggered = False
+        self._processed = False
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        # Bound once for the process's lifetime: the generator's send, and
+        # the resume callback appended to every event the process waits on.
+        self._send = generator.send
+        self._resume_cb = self._resume
         # Bootstrap: resume once the sim starts processing events.
         init = Event(sim)
-        init.callbacks.append(self._resume)
-        init.succeed(priority=URGENT)
+        init.callbacks.append(self._resume_cb)
+        init._triggered = True
+        self._waiting_on: Event = init
+        heappush(sim._queue, (sim._now, URGENT, next(sim._ids), init))
 
     @property
     def is_alive(self) -> bool:
@@ -175,73 +202,77 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event first.
+        Interrupting a finished process is an error.  A process interrupted
+        while it waits on an event is detached from that event first; if
+        it was the event's last waiter, a pending request is withdrawn (a
+        queued resource request leaves the queue, a granted but not yet
+        delivered slot is released, a store get stops matching items).
         """
         if self._triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         evt = Event(self.sim)
         evt.callbacks.append(self._resume_interrupt)
-        evt.succeed(cause, priority=URGENT)
+        evt.fail(Interrupt(cause), priority=URGENT)
 
     # -- internals ------------------------------------------------------
     def _resume_interrupt(self, evt: Event) -> None:
         if self._triggered:  # finished in the meantime: drop silently
             return
         target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        self._waiting_on = None
-        self._step(throw=Interrupt(evt._value))
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.remove(self._resume_cb)
+            if not callbacks:
+                target._abandon()
+        self._resume(evt)
 
     def _resume(self, evt: Event) -> None:
-        self._waiting_on = None
-        if evt._exc is not None:
-            self._step(throw=evt._exc)
-        else:
-            self._step(value=evt._value)
-
-    def _step(self, value: Any = None, throw: Optional[BaseException] = None) -> None:
-        self.sim._active_process = self
+        """Advance the generator with ``evt``'s outcome, then wait on the
+        event it yields next (the callback of every event it waits on)."""
         try:
-            if throw is not None:
-                target = self._generator.throw(throw)
+            if evt._exc is None:
+                target = self._send(evt._value)
             else:
-                target = self._generator.send(value)
+                target = self._generator.throw(evt._exc)
         except StopIteration as stop:
-            self.succeed(stop.value, priority=URGENT)
+            # Finished: fire this process's own event (``succeed`` inlined),
+            # and drop the bound callback so the process holds no cycle
+            # through itself and refcounting can free it.
+            self._resume_cb = None
+            self._triggered = True
+            self._value = stop.value
+            sim = self.sim
+            heappush(sim._queue, (sim._now, URGENT, next(sim._ids), self))
             return
         except BaseException as exc:
+            self._resume_cb = None
             if not self.callbacks:
                 # Nobody is watching this process: crash the simulation
                 # rather than swallow the error.
-                self.sim._crash(exc)
+                self.sim._crashed = exc
                 self._triggered = True
                 return
             self.fail(exc, priority=URGENT)
             return
-        finally:
-            self.sim._active_process = None
 
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Event"
             )
-        if target.callbacks is None:
+        callbacks = target.callbacks
+        if callbacks is None:
             # Already fired: resume immediately via a zero-delay event to
             # keep the stack shallow and ordering deterministic.
             evt = Event(self.sim)
-            evt.callbacks.append(self._resume)
+            evt.callbacks.append(self._resume_cb)
             if target._exc is not None:
                 evt.fail(target._exc, priority=URGENT)
             else:
                 evt.succeed(target._value, priority=URGENT)
+            self._waiting_on = evt
         else:
+            callbacks.append(self._resume_cb)
             self._waiting_on = target
-            target.callbacks.append(self._resume)
 
 
 class _Condition(Event):
@@ -308,8 +339,8 @@ class Simulator:
     def __init__(self, start: float = 0.0):
         self._now = float(start)
         self._queue: list[tuple[float, int, int, Event]] = []
-        self._seq = 0
-        self._active_process: Optional[Process] = None
+        #: Heap tie-breakers, in scheduling order.
+        self._ids = itertools.count()
         self._crashed: Optional[BaseException] = None
         #: Events popped and fired so far.  A plain int, always maintained:
         #: the kernel is the hottest loop in the repo, so telemetry reads
@@ -317,9 +348,9 @@ class Simulator:
         self.events_processed = 0
         #: Optional deterministic profiler (duck-typed against
         #: :class:`repro.obs.prof.Profiler`: ``event_begin(event)`` /
-        #: ``event_end()``).  ``None`` keeps the hot path at one attribute
-        #: load and an ``is None`` branch per event — the kernel never
-        #: imports :mod:`repro.obs`.
+        #: ``event_end()``).  Read once per :meth:`run` call, so ``None``
+        #: costs the event loop a local ``is None`` test per event — the
+        #: kernel never imports :mod:`repro.obs`.
         self.profiler: Optional[Any] = None
 
     # -- clock ----------------------------------------------------------
@@ -354,36 +385,18 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-        self._seq += 1
-
-    def _crash(self, exc: BaseException) -> None:
-        self._crashed = exc
+        heappush(self._queue, (self._now + delay, priority, next(self._ids), event))
 
     # -- running ----------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
         """Process exactly one event."""
         if not self._queue:
             raise SimulationError("no events scheduled")
-        time, _prio, _seq, event = heapq.heappop(self._queue)
-        self._now = time
-        self.events_processed += 1
-        prof = self.profiler
-        if prof is None:
-            event._fire()
-        else:
-            prof.event_begin(event)
-            try:
-                event._fire()
-            finally:
-                prof.event_end()
-        if self._crashed is not None:
-            exc, self._crashed = self._crashed, None
-            raise exc
+        self._dispatch(_INF, self._queue[0][3])
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or event fires.
@@ -391,17 +404,53 @@ class Simulator:
         Returns the value of ``until`` when ``until`` is an event.
         """
         if isinstance(until, Event):
-            stop = until
-            while not stop.processed:
-                if not self._queue:
+            if not until._processed:
+                self._dispatch(_INF, until)
+                if not until._processed:
                     raise SimulationError(
                         "simulation ran out of events before the awaited event fired"
                     )
-                self.step()
-            return stop.value
-        horizon = float("inf") if until is None else float(until)
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+            return until.value
+        horizon = _INF if until is None else float(until)
+        self._dispatch(horizon, None)
         if until is not None and horizon > self._now:
             self._now = horizon
         return None
+
+    def _dispatch(self, horizon: float, stop: Optional[Event]) -> None:
+        """The event loop: fire events in ``(time, priority, seq)`` order
+        until the queue drains, the next event lies beyond ``horizon``, or
+        ``stop`` has fired."""
+        queue = self._queue
+        prof = self.profiler
+        fired = 0
+        try:
+            while queue:
+                when, priority, seq, event = heappop(queue)
+                if when > horizon:
+                    heappush(queue, (when, priority, seq, event))
+                    break
+                self._now = when
+                fired += 1
+                callbacks = event.callbacks
+                if prof is None:
+                    event.callbacks = None
+                    event._processed = True
+                    for callback in callbacks:
+                        callback(event)
+                else:
+                    prof.event_begin(event)
+                    try:
+                        event.callbacks = None
+                        event._processed = True
+                        for callback in callbacks:
+                            callback(event)
+                    finally:
+                        prof.event_end()
+                if self._crashed is not None:
+                    exc, self._crashed = self._crashed, None
+                    raise exc
+                if event is stop:
+                    break
+        finally:
+            self.events_processed += fired

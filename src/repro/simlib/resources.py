@@ -32,11 +32,24 @@ class ResourceUsage(Event):
     __slots__ = ("resource", "priority", "order")
 
     def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.sim)
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._triggered = False
+        self._processed = False
         self.resource = resource
         self.priority = priority
         self.order = resource._order
         resource._order += 1
+
+    def _abandon(self) -> None:
+        # The requester was interrupted before the grant reached it.
+        resource = self.resource
+        if self in resource._users:
+            resource.release(self)
+        else:
+            resource._withdraw(self)
 
 
 class Resource:
@@ -81,17 +94,27 @@ class Resource:
         """Ask for a slot; the returned event fires when granted."""
         usage = ResourceUsage(self, priority)
         if len(self._users) < self.capacity and not self._waiters:
+            # Granted at once: trigger the usage and push its heap entry
+            # directly (what ``succeed(usage, priority=URGENT)`` does).
             self._users.add(usage)
-            usage.succeed(usage, priority=URGENT)
+            usage._triggered = True
+            usage._value = usage
+            sim = self.sim
+            heapq.heappush(sim._queue, (sim._now, URGENT, next(sim._ids), usage))
         else:
             self._enqueue(usage)
         return usage
 
     def release(self, usage: ResourceUsage) -> None:
-        """Free a previously granted slot and wake the next waiter."""
+        """Free a previously granted slot and wake the next waiter.
+
+        The released usage's value (itself) is cleared, so that a finished
+        request is no reference cycle and refcounting frees it at once.
+        """
         if usage not in self._users:
             raise SimulationError(f"release of non-held usage on {self.name or 'resource'}")
         self._users.remove(usage)
+        usage._value = None
         nxt = self._dequeue()
         if nxt is not None:
             self._users.add(nxt)
@@ -115,6 +138,9 @@ class Resource:
             return self._waiters.pop(0)
         return None
 
+    def _withdraw(self, usage: ResourceUsage) -> None:
+        self._waiters.remove(usage)
+
 
 class PriorityResource(Resource):
     """Resource whose waiters are served by (priority, arrival order)."""
@@ -130,6 +156,10 @@ class PriorityResource(Resource):
         if self._heap:
             return heapq.heappop(self._heap)[2]
         return None
+
+    def _withdraw(self, usage: ResourceUsage) -> None:
+        self._heap.remove((usage.priority, usage.order, usage))
+        heapq.heapify(self._heap)
 
     @property
     def queue_length(self) -> int:

@@ -17,11 +17,20 @@ __all__ = ["Store"]
 
 
 class _Get(Event):
-    __slots__ = ("predicate",)
+    __slots__ = ("store", "predicate")
 
-    def __init__(self, sim: Simulator, predicate: Callable[[Any], bool]):
-        super().__init__(sim)
+    def __init__(self, store: "Store", predicate: Callable[[Any], bool]):
+        super().__init__(store.sim)
+        self.store = store
         self.predicate = predicate
+
+    def _abandon(self) -> None:
+        # The getter was interrupted: stop matching, or hand back the item
+        # it was given but never received.
+        if self._triggered:
+            self.store.put(self._value)
+        else:
+            self.store._getters.remove(self)
 
 
 class Store:
@@ -57,12 +66,10 @@ class Store:
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
         """Event firing with the first item matching ``predicate``."""
         pred = predicate if predicate is not None else (lambda _item: True)
+        getter = _Get(self, pred)
         for idx, item in enumerate(self._items):
             if pred(item):
                 del self._items[idx]
-                evt = Event(self.sim)
-                evt.succeed(item, priority=URGENT)
-                return evt
-        getter = _Get(self.sim, pred)
+                return getter.succeed(item, priority=URGENT)
         self._getters.append(getter)
         return getter

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster import IDEAL, GroundTruth, NoiseModel, SimulatedCluster, random_cluster
 from repro.estimation import AnalyticEngine, DESEngine, pack_rounds, pair_rounds, triplet_rounds
 from repro.estimation.experiments import roundtrip
+from repro.estimation.lmo_est import build_experiment_set
 from repro.estimation.scheduling import run_schedule
 
 
@@ -57,6 +58,39 @@ def test_triplet_rounds_cover_all_rooted_triplets(n):
 def test_pack_rounds_first_fit():
     rounds = pack_rounds([(0, 1), (2, 3), (0, 2), (1, 3)])
     assert rounds == [[(0, 1), (2, 3)], [(0, 2), (1, 3)]]
+
+
+def _pack_rounds_with_sets(items):
+    """The reference first-fit packing, on Python sets."""
+    rounds, occupied = [], []
+    for item in items:
+        nodes = set(item)
+        for round_idx, used in enumerate(occupied):
+            if not (used & nodes):
+                rounds[round_idx].append(item)
+                used |= nodes
+                break
+        else:
+            rounds.append([item])
+            occupied.append(set(nodes))
+    return rounds
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_triplet_rounds_match_the_set_packing(n):
+    rooted = [rooted for i, j, k in combinations(range(n), 3)
+              for rooted in ((i, j, k), (j, i, k), (k, i, j))]
+    assert triplet_rounds(n) == _pack_rounds_with_sets(rooted)
+
+
+def test_lmo_experiment_rounds_match_the_set_packing():
+    n = 16
+    rooted = [rooted for i, j, k in combinations(range(n), 3)
+              for rooted in ((i, j, k), (j, i, k), (k, i, j))]
+    experiments = build_experiment_set(list(combinations(range(n), 2)), rooted, 8192)
+    nodes = [exp.nodes for exp in experiments]
+    assert len(nodes) == 3600
+    assert pack_rounds(nodes) == _pack_rounds_with_sets(nodes)
 
 
 def test_run_schedule_parallel_matches_serial_values():

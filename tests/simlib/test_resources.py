@@ -245,3 +245,64 @@ def test_interrupt_during_hold_releases_resource():
     assert ("interrupted", 1.0) in log
     assert ("acquired", 2.0) in log  # slot freed at t=1, held 1s
     assert res.count == 0
+
+
+def _interrupted_request_scenario(res, interrupt_first: bool):
+    """A holds the slot over [0, 1]; B queues for it at t=0 and is
+    interrupted; C asks at t=2 and must be served.  With
+    ``interrupt_first`` A interrupts B in the same instant as, and just
+    before, the release that grants B the slot; otherwise a third process
+    interrupts B at t=0.5, while B is still queued."""
+    from repro.simlib import Interrupt
+
+    sim = res.sim
+    log = []
+
+    def a(sim):
+        usage = res.request()
+        yield usage
+        yield sim.timeout(1.0)
+        if interrupt_first:
+            victim.interrupt()
+        res.release(usage)
+
+    def b(sim):
+        try:
+            yield from res.hold(sim, 10.0)
+        except Interrupt:
+            log.append(("b interrupted", sim.now))
+
+    def interrupter(sim):
+        yield sim.timeout(0.5)
+        victim.interrupt()
+
+    def c(sim):
+        yield sim.timeout(2.0)
+        yield from res.hold(sim, 1.0)
+        log.append(("c done", sim.now))
+
+    sim.spawn(a(sim))
+    victim = sim.spawn(b(sim))
+    if not interrupt_first:
+        sim.spawn(interrupter(sim))
+    sim.spawn(c(sim))
+    sim.run()
+    return log
+
+
+@pytest.mark.parametrize("cls", [Resource, PriorityResource])
+def test_interrupted_queued_request_is_withdrawn(cls):
+    sim = Simulator()
+    res = cls(sim, capacity=1)
+    log = _interrupted_request_scenario(res, interrupt_first=False)
+    assert log == [("b interrupted", 0.5), ("c done", 3.0)]
+    assert res.count == 0 and res.queue_length == 0
+
+
+@pytest.mark.parametrize("cls", [Resource, PriorityResource])
+def test_interrupt_racing_the_grant_releases_the_slot(cls):
+    sim = Simulator()
+    res = cls(sim, capacity=1)
+    log = _interrupted_request_scenario(res, interrupt_first=True)
+    assert log == [("b interrupted", 1.0), ("c done", 3.0)]
+    assert res.count == 0 and res.queue_length == 0

@@ -124,3 +124,59 @@ def test_two_getters_one_item_only_first_matching_served():
     sim.spawn(putter(sim))
     sim.run(until=10.0)
     assert got == [("g1", "only")]
+
+
+def test_interrupted_get_stops_matching_items():
+    """An item put after a getter was interrupted reaches the live getter."""
+    from repro.simlib import Interrupt
+
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def getter(sim, name):
+        try:
+            value = yield store.get()
+            got.append((name, sim.now, value))
+        except Interrupt:
+            got.append((name, sim.now, "interrupted"))
+
+    def driver(sim):
+        yield sim.timeout(1.0)
+        dead.interrupt()
+        yield sim.timeout(1.0)
+        store.put("x")
+
+    dead = sim.spawn(getter(sim, "dead"))
+    sim.spawn(getter(sim, "live"))
+    sim.spawn(driver(sim))
+    sim.run()
+    assert got == [("dead", 1.0, "interrupted"), ("live", 2.0, "x")]
+    assert len(store) == 0
+
+
+def test_item_matched_by_an_interrupted_get_is_handed_back():
+    """An item given to a get in the same instant as the getter's interrupt
+    goes back to the store instead of vanishing."""
+    from repro.simlib import Interrupt
+
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def getter(sim):
+        try:
+            got.append((yield store.get()))
+        except Interrupt:
+            got.append("interrupted")
+
+    def driver(sim):
+        yield sim.timeout(1.0)
+        victim.interrupt()
+        store.put("x")
+
+    victim = sim.spawn(getter(sim))
+    sim.spawn(driver(sim))
+    sim.run()
+    assert got == ["interrupted"]
+    assert store.peek() == "x"
