@@ -232,11 +232,6 @@ class SimulatedCluster:
         """
         self.tracer = tracer
 
-    def trace(self, lane: str, start: float, end: float, label: str = "") -> None:
-        """Record one activity interval if a tracer is attached."""
-        if self.tracer is not None:
-            self.tracer.record(lane, start, end, label)
-
     # -- noisy durations -------------------------------------------------------
     def noisy(self, duration: float) -> float:
         """Apply the cluster noise model to an activity duration."""
