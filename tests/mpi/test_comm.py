@@ -357,3 +357,28 @@ def test_probe_sees_pending_message_without_consuming():
     assert observed["wrong_tag"] is None
     assert observed["after"] is None
     assert results[1].value == b"hi"
+
+
+@pytest.mark.parametrize("nbytes", [1 * KB, 128 * KB])
+def test_finished_runs_leave_no_reference_cycles(nbytes):
+    """Refcounting frees a finished run (processes, resource usages,
+    mailbox gets), so the cyclic garbage collector stays idle while
+    simulations run."""
+    import gc
+
+    from repro.mpi import run_collective
+
+    def runs():
+        for operation in ("scatter", "gather", "bcast"):
+            run_collective(cluster, operation, "binomial", nbytes)
+        cluster.reset()
+
+    cluster = quiet_cluster(n=6, profile=LAM_7_1_3)
+    runs()  # warm the memoized tree builders first
+    gc.collect()
+    gc.disable()
+    try:
+        runs()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
