@@ -141,7 +141,7 @@ def test_interrupted_get_stops_matching_items():
         except Interrupt:
             got.append((name, sim.now, "interrupted"))
 
-    def driver(sim):
+    def scenario(sim):
         yield sim.timeout(1.0)
         dead.interrupt()
         yield sim.timeout(1.0)
@@ -149,7 +149,7 @@ def test_interrupted_get_stops_matching_items():
 
     dead = sim.spawn(getter(sim, "dead"))
     sim.spawn(getter(sim, "live"))
-    sim.spawn(driver(sim))
+    sim.spawn(scenario(sim))
     sim.run()
     assert got == [("dead", 1.0, "interrupted"), ("live", 2.0, "x")]
     assert len(store) == 0
@@ -170,13 +170,13 @@ def test_item_matched_by_an_interrupted_get_is_handed_back():
         except Interrupt:
             got.append("interrupted")
 
-    def driver(sim):
+    def scenario(sim):
         yield sim.timeout(1.0)
         victim.interrupt()
         store.put("x")
 
     victim = sim.spawn(getter(sim))
-    sim.spawn(driver(sim))
+    sim.spawn(scenario(sim))
     sim.run()
     assert got == ["interrupted"]
     assert store.peek() == "x"
