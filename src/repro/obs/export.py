@@ -55,10 +55,32 @@ def snapshot_prometheus(doc: Mapping[str, Any]) -> str:
 
 
 # -- chrome trace ----------------------------------------------------------------
-def _span_events(spans: Sequence[Mapping[str, Any]], pid: int) -> list[dict[str, Any]]:
+#: Readable names for the one-letter activity labels the simulated
+#: cluster records; other labels pass through unchanged.
+_ACTIVITY_NAMES = {
+    "s": "send processing",
+    "r": "receive processing",
+    "w": "wire transfer",
+    "R": "TCP retransmission timeout",
+}
+
+
+def _span_events(
+    spans: Sequence[Mapping[str, Any]],
+    pid: int,
+    lane: str = "wall-clock spans",
+    epoch: float = 0.0,
+    t0: float = 0.0,
+) -> list[dict[str, Any]]:
+    """One Chrome lane (``pid``, named ``lane``) of finished spans.
+
+    A span starting at ``start`` on its process's span clock lands at
+    ``epoch + start - t0`` seconds: :mod:`repro.obs.stitch` passes the
+    snapshot's ``spans_epoch_unix`` and the stitched timeline's origin.
+    """
     events: list[dict[str, Any]] = [{
         "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-        "args": {"name": "wall-clock spans"},
+        "args": {"name": lane},
     }]
     for span in spans:
         end = span.get("end")
@@ -72,7 +94,7 @@ def _span_events(spans: Sequence[Mapping[str, Any]], pid: int) -> list[dict[str,
             "ph": "X",
             "pid": pid,
             "tid": 0,
-            "ts": float(span["start"]) * 1e6,
+            "ts": (epoch + float(span["start"]) - t0) * 1e6,
             "dur": (float(end) - float(span["start"])) * 1e6,
             "args": args,
         })
@@ -87,9 +109,11 @@ def chrome_trace(
 
     ``tracer`` is duck-typed against :class:`repro.simlib.trace.Tracer`
     (``lanes()`` + ``intervals``), keeping :mod:`repro.obs` free of any
-    repro dependency.  Wall spans get pid 0; sim lanes get pids 1+.
-    Sim-time lanes use *simulated* microseconds — the two clocks share a
-    file, not an epoch, which is exactly what you want side by side.
+    repro dependency.  Wall spans get pid 0; sim lanes get pids 1+, and
+    the cluster's one-letter activity labels become readable names
+    (``w`` -> ``wire transfer``).  Sim-time lanes use *simulated*
+    microseconds — the two clocks share a file, not an epoch, which is
+    exactly what you want side by side.
     """
     events = _span_events(spans, pid=0) if spans else []
     if tracer is not None:
@@ -101,7 +125,8 @@ def chrome_trace(
             })
         for interval in tracer.intervals:
             events.append({
-                "name": interval.label or "activity",
+                "name": _ACTIVITY_NAMES.get(interval.label,
+                                            interval.label or "activity"),
                 "ph": "X",
                 "pid": lanes[interval.lane],
                 "tid": 0,

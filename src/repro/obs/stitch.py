@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.obs.export import validate_snapshot
+from repro.obs.export import _span_events, validate_snapshot
 
 __all__ = ["list_traces", "stitch_chrome_trace", "unwrap_snapshot"]
 
@@ -122,26 +122,9 @@ def stitch_chrome_trace(
 
     trace_events: list[dict[str, Any]] = []
     for pid, (proc_name, epoch, spans, events) in enumerate(lanes):
-        trace_events.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": proc_name},
-        })
-        for span in spans:
-            end = span.get("end")
-            if end is None:
-                continue
-            args = dict(span.get("attrs", {}))
-            if span.get("trace_id"):
-                args["trace_id"] = span["trace_id"]
-            trace_events.append({
-                "name": span["name"],
-                "ph": "X",
-                "pid": pid,
-                "tid": 0,
-                "ts": (epoch + float(span["start"]) - t0) * 1e6,
-                "dur": (float(end) - float(span["start"])) * 1e6,
-                "args": args,
-            })
+        trace_events.extend(
+            _span_events(spans, pid, lane=proc_name, epoch=epoch, t0=t0)
+        )
         for event in events:
             fields = {
                 k: v for k, v in event.items()

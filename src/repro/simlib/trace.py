@@ -5,7 +5,8 @@ per node CPU, one per switch port, ...) and renders them as an ASCII
 Gantt chart — the timeline view that makes the paper's arguments visible:
 the root's CPU lane is solid during a linear scatter while the port lanes
 overlap; a gather's port lane serializes; an RTO escalation is a long
-gap.
+gap.  :func:`repro.obs.export.chrome_trace` (``tracer=...``) exports the
+same intervals as Chrome trace-event JSON.
 
 The tracer is optional and zero-cost when absent: the cluster only calls
 it if one is attached (:meth:`repro.cluster.machine.SimulatedCluster.attach_tracer`).
@@ -13,11 +14,10 @@ it if one is attached (:meth:`repro.cluster.machine.SimulatedCluster.attach_trac
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["Interval", "Tracer", "render_gantt", "to_chrome_trace"]
+__all__ = ["Interval", "Tracer", "render_gantt"]
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,6 @@ class Tracer:
         """ASCII Gantt chart of the trace (see :func:`render_gantt`)."""
         return render_gantt(self, width=width, lanes=lanes)
 
-    def to_chrome_trace(self) -> str:
-        """Chrome trace-event JSON (see :func:`to_chrome_trace`)."""
-        return to_chrome_trace(self)
-
 
 def render_gantt(tracer: Tracer, width: int = 72, lanes: Optional[list[str]] = None) -> str:
     """Render a tracer's intervals as a fixed-width ASCII Gantt chart.
@@ -119,39 +115,3 @@ def render_gantt(tracer: Tracer, width: int = 72, lanes: Optional[list[str]] = N
                 cells[pos] = mark
         lines.append(f"{lane:<{name_width}} {''.join(cells)}")
     return "\n".join(lines)
-
-
-#: Human-readable activity names for the single-letter labels the
-#: cluster emits.
-_LABEL_NAMES = {
-    "s": "send processing",
-    "r": "receive processing",
-    "w": "wire transfer",
-    "R": "TCP retransmission timeout",
-}
-
-
-def to_chrome_trace(tracer: Tracer) -> str:
-    """Export a trace as Chrome trace-event JSON.
-
-    Load the result in ``chrome://tracing`` / Perfetto for an interactive
-    timeline: one 'process' per lane, complete ('X') events with
-    microsecond timestamps.
-    """
-    events = []
-    lane_ids = {lane: idx for idx, lane in enumerate(tracer.lanes())}
-    for lane, pid in lane_ids.items():
-        events.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": lane},
-        })
-    for interval in tracer.intervals:
-        events.append({
-            "name": _LABEL_NAMES.get(interval.label, interval.label or "activity"),
-            "ph": "X",
-            "pid": lane_ids[interval.lane],
-            "tid": 0,
-            "ts": interval.start * 1e6,
-            "dur": interval.duration * 1e6,
-        })
-    return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})

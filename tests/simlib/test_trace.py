@@ -115,12 +115,14 @@ def test_render_via_cluster_run():
 def test_chrome_trace_export():
     import json
 
+    from repro.obs.export import chrome_trace
+
     cluster, tracer = traced_cluster()
     run_collective(cluster, "scatter", "linear", nbytes=4 * KB)
-    doc = json.loads(tracer.to_chrome_trace())
+    doc = json.loads(chrome_trace(tracer=tracer))
     events = doc["traceEvents"]
     names = {e["args"]["name"] for e in events if e["ph"] == "M"}
-    assert "cpu0" in names
+    assert "sim:cpu0" in names
     complete = [e for e in events if e["ph"] == "X"]
     assert complete
     assert all(e["dur"] >= 0 for e in complete)
