@@ -5,7 +5,9 @@ The bench job stashes the repo's committed ``BENCH_*.json`` files (the
 baselines), re-runs the microbenchmarks (which overwrite those files at
 the repo root), then runs this script to compare the two sets.  A timing
 metric that got more than ``--tolerance`` slower (default 25%) than its
-committed baseline fails the job.
+committed baseline fails the job.  So does a gated file or metric that
+is missing on either side, or a non-positive baseline: a renamed
+benchmark output must not silently drop its gate.
 
 Only wall-clock style metrics are compared — everything in
 ``_GATED_METRICS`` is lower-is-better seconds (or nanoseconds).  Ratio
@@ -30,7 +32,7 @@ _GATED_METRICS: dict[str, tuple[str, ...]] = {
     "BENCH_prediction.json": ("batch_seconds",),
     "BENCH_obs.json": ("guard_ns",),
     "BENCH_insight.json": ("render_seconds", "ingest_seconds"),
-    "BENCH_kernel_profile.json": ("wall_seconds_per_million_events",),
+    "BENCH_kernel.json": ("wall_seconds_per_million_events",),
 }
 
 
@@ -43,40 +45,41 @@ def _load(path: Path) -> dict:
 
 
 def compare(baseline_dir: Path, current_dir: Path, tolerance: float) -> int:
-    """Print a comparison table; return the number of regressions."""
-    regressions = 0
-    checked = 0
+    """Print a comparison table; return the number of failed metrics
+    (regressed, or missing on either side)."""
+    failures = 0
     for name, metrics in sorted(_GATED_METRICS.items()):
         base_path = baseline_dir / name
         cur_path = current_dir / name
         if not base_path.exists():
-            print(f"  {name}: no committed baseline — skipped")
+            print(f"  {name}: MISSING committed baseline")
+            failures += len(metrics)
             continue
         if not cur_path.exists():
-            print(f"  {name}: benchmark produced no result — skipped")
+            print(f"  {name}: MISSING, the benchmark produced no result")
+            failures += len(metrics)
             continue
         baseline = _load(base_path)
         current = _load(cur_path)
         for metric in metrics:
             if metric not in baseline or metric not in current:
-                print(f"  {name}:{metric}: missing on one side — skipped")
+                print(f"  {name}:{metric}: MISSING on one side")
+                failures += 1
                 continue
             base_v = float(baseline[metric])
             cur_v = float(current[metric])
             if base_v <= 0:
-                print(f"  {name}:{metric}: non-positive baseline — skipped")
+                print(f"  {name}:{metric}: BAD BASELINE {base_v:g} (must be > 0)")
+                failures += 1
                 continue
             ratio = cur_v / base_v
-            checked += 1
             verdict = "ok"
             if ratio > 1.0 + tolerance:
                 verdict = f"REGRESSION (> {tolerance:.0%} slower)"
-                regressions += 1
+                failures += 1
             print(f"  {name}:{metric}: {base_v:.6g} -> {cur_v:.6g} "
                   f"({ratio - 1.0:+.1%}) {verdict}")
-    if checked == 0:
-        print("  warning: nothing was compared — check the directories")
-    return regressions
+    return failures
 
 
 def main(argv=None) -> int:
@@ -92,9 +95,9 @@ def main(argv=None) -> int:
         parser.error("tolerance must be non-negative")
 
     print(f"benchmark regression check (tolerance {args.tolerance:.0%}):")
-    regressions = compare(args.baseline_dir, args.current_dir, args.tolerance)
-    if regressions:
-        print(f"{regressions} benchmark metric(s) regressed")
+    failures = compare(args.baseline_dir, args.current_dir, args.tolerance)
+    if failures:
+        print(f"{failures} benchmark metric(s) regressed or missing")
         return 1
     print("no benchmark regressions")
     return 0

@@ -109,9 +109,8 @@ def count_hooks(tmp_path):
         spans = len(tel.spans.finished()) + tel.spans.dropped
         events = len(tel.events) + tel.events.dropped
         # Per-site accounting, deliberately over-counted:
-        #  - kernel: one always-on int increment per simulated event plus
-        #    the event loop's ``prof is None`` test (each counted as a
-        #    full guard even though they are cheaper) — 2 per event;
+        #  - kernel: one always-on int increment per simulated event,
+        #    billed as two full guards although it is cheaper — 2 per event;
         #  - journal: guard + histogram + counter ~ 3 guard-equivalents;
         #  - units: started/done/retry/wall hooks ~ 6 per unit;
         #  - spans/events/checkpoints: 2 each for enter/exit.

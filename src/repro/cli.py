@@ -82,7 +82,6 @@ from repro.obs import (
     validate_snapshot,
 )
 from repro.obs import insight as _insight
-from repro.obs import prof as _prof
 from repro.obs import runtime as _obs
 from repro.obs import trace as _tracectx
 from repro.simlib import Tracer
@@ -916,100 +915,9 @@ def _cmd_obs_flight(args) -> int:
     return 0
 
 
-def _profile_frame_table(profiler, top: int) -> str:
-    stats = sorted(profiler.stats().values(), key=lambda s: -s.self_ns)
-    lines = [f"{'frame':<42} {'count':>8} {'self ms':>10} {'cum ms':>10}"]
-    for stat in stats[:top]:
-        lines.append(
-            f"{stat.name:<42.42} {stat.count:>8} "
-            f"{stat.self_ns / 1e6:>10.3f} {stat.cum_ns / 1e6:>10.3f}"
-        )
-    if len(stats) > top:
-        lines.append(f"... {len(stats) - top} more frame(s)")
-    return "\n".join(lines)
-
-
-def _profile_write_artifacts(args, profiler) -> None:
-    if args.speedscope:
-        with open(args.speedscope, "w") as handle:
-            json.dump(profiler.speedscope(), handle)
-        print(f"speedscope profile written to {args.speedscope}")
-    if args.collapsed:
-        with open(args.collapsed, "w") as handle:
-            handle.write(profiler.collapsed())
-        print(f"collapsed stacks written to {args.collapsed}")
-
-
-def _cmd_obs_profile(args) -> int:
-    """``repro obs profile`` — deterministic profile of the canned DES
-    workload (``--target kernel``) or a live service load
-    (``--target service``)."""
-    from repro.benchlib.kernelprof import (
-        DEFAULT_SIZES,
-        kernel_profile_document,
-        run_kernel_workload,
-    )
-
-    sizes = DEFAULT_SIZES
-    if args.sizes:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-    if args.target == "kernel":
-        doc, profiler = kernel_profile_document(
-            nodes=args.nodes, sizes=sizes, reps=args.reps, seed=args.seed
-        )
-        if args.json_out:
-            with open(args.json_out, "w") as handle:
-                json.dump(doc, handle, indent=2)
-        text = (
-            f"kernel workload: {doc['collective_runs']} collective runs, "
-            f"{doc['events_processed']} events in "
-            f"{doc['wall_seconds']:.3f} s "
-            f"({doc['events_per_second']:,.0f} events/s)\n"
-            + _profile_frame_table(profiler, args.top)
-        )
-        _emit(args, text, doc)
-        _profile_write_artifacts(args, profiler)
-        return 0
-    # --target service: an in-process server under a canned client load;
-    # worker threads feed the same (thread-safe) profiler, so the output
-    # mixes client-side load frames with server-side kernel frames.
-    from repro.cluster import GroundTruth
-    from repro.models import ExtendedLMOModel
-    from repro.serve import ServeConfig, ServerThread
-
-    model = ExtendedLMOModel.from_ground_truth(
-        GroundTruth.random(6, seed=args.seed + 2)
-    )
-    profiler = _prof.enable_profiler(fresh=True)
-    try:
-        config = ServeConfig(port=0, models={"lmo": model}, workers=2)
-        with ServerThread(config) as host, host.client() as client:
-            with profiler.frame("load.predicts"):
-                for i in range(max(1, args.requests)):
-                    with profiler.frame("load.predict"):
-                        client.predict("lmo", "scatter", "linear",
-                                       float(KB << (i % 8)))
-            with profiler.frame("load.kernel"):
-                run_kernel_workload(nodes=args.nodes, sizes=sizes,
-                                    reps=1, seed=args.seed)
-        text = (
-            f"service load: {args.requests} predict call(s) + canned kernel "
-            f"workload\n" + _profile_frame_table(profiler, args.top)
-        )
-        doc = profiler.to_dict()
-        if args.json_out:
-            with open(args.json_out, "w") as handle:
-                json.dump(doc, handle, indent=2)
-        _emit(args, text, doc)
-        _profile_write_artifacts(args, profiler)
-    finally:
-        _prof.disable_profiler()
-    return 0
-
-
 def cmd_obs(args) -> int:
-    """``repro obs report|export|dashboard|watch|top|flight|profile|trace``
-    — snapshot inspection plus the deterministic profiler.
+    """``repro obs report|export|dashboard|watch|top|flight|trace`` —
+    telemetry snapshot inspection.
 
     ``report`` prints a one-screen summary (or the raw document with
     ``--format json``); ``export`` re-renders it as Prometheus text
@@ -1018,12 +926,9 @@ def cmd_obs(args) -> int:
     the terminal view; ``watch`` re-renders the terminal view
     periodically; ``top`` is the dense operator variant (firing alerts,
     SLO budgets, rate sparklines); ``flight`` inspects/recovers/stitches
-    flight-recorder dumps; ``profile`` runs the deterministic profiler
-    over a canned workload; ``trace stitch`` merges per-process
+    flight-recorder dumps; ``trace stitch`` merges per-process
     snapshots into one clock-aligned distributed timeline.
     """
-    if args.action == "profile":
-        return _cmd_obs_profile(args)
     if args.action == "trace":
         return _cmd_obs_stitch(args)
     if args.action == "flight":
@@ -1377,7 +1282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="inspect/convert a telemetry snapshot from --metrics-out",
+        help="inspect/convert telemetry snapshots from --metrics-out, "
+             "flight dumps and cross-process traces",
     )
     obs_sub = p_obs.add_subparsers(dest="action", required=True)
     p_obs_report = obs_sub.add_parser(
@@ -1468,33 +1374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fl_stitch.add_argument("--out", default=None,
                              help="write the Chrome trace here instead of "
                                   "stdout")
-    p_obs_prof = obs_sub.add_parser(
-        "profile",
-        help="deterministic profile of the DES kernel or a service load",
-        parents=[common])
-    p_obs_prof.add_argument("--target", choices=["kernel", "service"],
-                            default="kernel",
-                            help="kernel: the canned collective workload; "
-                                 "service: an in-process server under a "
-                                 "canned client load")
-    p_obs_prof.add_argument("--nodes", type=int, default=8,
-                            help="simulated cluster size for the workload")
-    p_obs_prof.add_argument("--sizes", default=None,
-                            help="comma-separated per-block sizes in bytes "
-                                 "(default 1024,16384,131072)")
-    p_obs_prof.add_argument("--reps", type=int, default=2,
-                            help="workload repetitions (kernel target)")
-    p_obs_prof.add_argument("--requests", type=int, default=32,
-                            help="predict calls to drive (service target)")
-    p_obs_prof.add_argument("--top", type=int, default=20,
-                            help="frames shown in the terminal table")
-    p_obs_prof.add_argument("--speedscope", default=None, metavar="PATH",
-                            help="write a speedscope.app profile here")
-    p_obs_prof.add_argument("--collapsed", default=None, metavar="PATH",
-                            help="write flamegraph.pl collapsed stacks here")
-    p_obs_prof.add_argument("--json-out", default=None, metavar="PATH",
-                            help="write the profile document (kernel target: "
-                                 "the BENCH_kernel_profile schema) here")
     p_obs_trace = obs_sub.add_parser(
         "trace",
         help="merge per-process snapshots into one distributed timeline")

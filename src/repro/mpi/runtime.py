@@ -14,7 +14,6 @@ from typing import Any, Callable, Generator, Mapping, Optional, Sequence
 from repro.cluster.machine import SimulatedCluster
 from repro.mpi.comm import MessageLayer, RankComm
 from repro.mpi.collectives import get_algorithm
-from repro.obs import prof as _prof
 from repro.obs import runtime as _obs
 
 __all__ = [
@@ -101,15 +100,9 @@ def run_ranks(
         if not (0 <= rank < cluster.n):
             raise ValueError(f"rank {rank} out of range for {cluster.n}-node cluster")
         cluster.sim.spawn(wrap(rank, factory), name=f"rank{rank}")
-    # Attach the active deterministic profiler (if any) for this run —
-    # the kernel itself never imports repro.obs, it just honors the
-    # duck-typed ``profiler`` attribute.
-    cluster.sim.profiler = _prof.ACTIVE
-    try:
-        with _obs.span("sim.run", n=cluster.n, ranks=len(programs)):
-            cluster.sim.run()
-    finally:
-        cluster.sim.profiler = None
+    # One span per kernel run; the kernel itself never imports repro.obs.
+    with _obs.span("sim.run", n=cluster.n, ranks=len(programs)):
+        cluster.sim.run()
 
     stuck = sorted(set(programs) - set(results))
     if stuck:

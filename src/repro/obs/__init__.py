@@ -52,7 +52,6 @@ from repro.obs.metrics import (
     bucket_quantile,
     prometheus_text,
 )
-from repro.obs.prof import Profiler, disable_profiler, enable_profiler, profiling
 from repro.obs.runtime import (
     Telemetry,
     active,
@@ -88,7 +87,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Profiler",
     "SLOSpec",
     "SLOStatus",
     "Span",
@@ -103,10 +101,8 @@ __all__ = [
     "current_traceparent",
     "default_slos",
     "disable",
-    "disable_profiler",
     "enable",
     "enable_flight",
-    "enable_profiler",
     "enable_timeline",
     "evaluate_slos",
     "insight",
@@ -114,7 +110,6 @@ __all__ = [
     "load_dump",
     "new_context",
     "parse_traceparent",
-    "profiling",
     "prometheus_text",
     "pulse",
     "read_spill",

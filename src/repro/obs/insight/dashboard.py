@@ -221,20 +221,6 @@ def build_dashboard(
     for entry in by_trace.values():
         entry["names"] = sorted(entry["names"])
 
-    # Kernel-profile panel: the hot-frame table from the deterministic
-    # profiler's BENCH_kernel_profile.json, when the caller passed it.
-    kernel_profile: Optional[dict[str, Any]] = None
-    for name, data in bench:
-        profile = data.get("profile")
-        if data.get("bench") == "kernel_profile" and isinstance(profile, Mapping):
-            kernel_profile = {
-                "source": name,
-                "events_per_second": data.get("events_per_second"),
-                "events_processed": data.get("events_processed"),
-                "frames": [dict(f) for f in profile.get("frames", ())][:12],
-            }
-            break
-
     return {
         "title": "repro model-fidelity observatory",
         "summary": {
@@ -256,7 +242,6 @@ def build_dashboard(
             for name, (count, total) in sorted(by_span.items())
         },
         "traces": {tid: by_trace[tid] for tid in sorted(by_trace)},
-        "kernel_profile": kernel_profile,
         "bench": [{"name": name, "data": dict(data)} for name, data in bench],
     }
 
@@ -332,18 +317,6 @@ def render_terminal(data: Mapping[str, Any]) -> str:
                 f"  {trace_id}: {entry['spans']} spans, "
                 f"{entry['total_seconds'] * 1e3:.2f} ms "
                 f"({', '.join(entry['names'])})"
-            )
-    kernel = data.get("kernel_profile")
-    if kernel:
-        lines.append("")
-        eps = kernel.get("events_per_second")
-        rate = f" ({eps:,.0f} events/s baseline)" if eps else ""
-        lines.append(f"kernel hot frames{rate}:")
-        for frame in kernel["frames"]:
-            lines.append(
-                f"  {frame['name']}: x{frame['count']}, "
-                f"self {frame['self_ns'] / 1e6:.2f} ms, "
-                f"cum {frame['cum_ns'] / 1e6:.2f} ms"
             )
     if data["bench"]:
         lines.append("")
@@ -814,30 +787,6 @@ def _traces_html(traces: Mapping[str, Mapping[str, Any]]) -> str:
     )
 
 
-def _kernel_profile_html(kernel: Optional[Mapping[str, Any]]) -> str:
-    if not kernel:
-        return ('<p class="muted">no BENCH_kernel_profile.json ingested '
-                "(run <code>repro obs profile --target kernel</code>)</p>")
-    eps = kernel.get("events_per_second")
-    caption = (
-        f"<p>{_esc(kernel['source'])}: "
-        f"<strong>{eps:,.0f} events/s</strong> uninstrumented baseline</p>"
-        if eps else f"<p>{_esc(kernel['source'])}</p>"
-    )
-    rows = "".join(
-        f"<tr><td>{_esc(frame['name'])}</td><td>{frame['count']}</td>"
-        f"<td>{frame['self_ns'] / 1e6:.3f}</td>"
-        f"<td>{frame['cum_ns'] / 1e6:.3f}</td></tr>"
-        for frame in kernel["frames"]
-    )
-    table = (
-        '<table class="viz"><thead><tr><th>frame</th><th>count</th>'
-        "<th>self ms</th><th>cum ms</th></tr></thead>"
-        f"<tbody>{rows}</tbody></table>"
-    )
-    return f"{caption}{table}"
-
-
 def _bench_html(bench: Sequence[Mapping[str, Any]]) -> str:
     if not bench:
         return '<p class="muted">no BENCH_*.json files found</p>'
@@ -891,8 +840,6 @@ def render_html(data: Mapping[str, Any]) -> str:
 {_counts_html(data["spans_by_name"], ("span", "count", "total_seconds"))}
 <h2>Traces</h2>
 {_traces_html(data.get("traces") or {})}
-<h2>Kernel profile</h2>
-{_kernel_profile_html(data.get("kernel_profile"))}
 <h2>Bench trajectory</h2>
 {_bench_html(data["bench"])}
 </body>

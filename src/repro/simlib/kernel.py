@@ -18,8 +18,9 @@ domain stress avoiding needless object churn in inner loops):
 The hot path is a pure-Python loop, so it is written for the interpreter:
 
 * :meth:`Simulator.run` and :meth:`Simulator.step` share one dispatch loop
-  (:meth:`Simulator._dispatch`) that pops and fires events inline, reads
-  the profiler hook once per call and keeps the event counter in a local.
+  (:meth:`Simulator._dispatch`) that pops and fires events inline and
+  keeps the event counter in a local.  The loop has no hooks: profile it
+  from outside, with :mod:`cProfile` or ``perfbench/run.py --trace 1``.
 * A :class:`Timeout`, a new or finished :class:`Process` and an
   immediately granted resource request push their heap entry directly,
   without the ``Event.__init__`` → ``succeed`` → ``_schedule`` chain;
@@ -350,12 +351,6 @@ class Simulator:
         #: the kernel is the hottest loop in the repo, so telemetry reads
         #: this after the fact instead of hooking every step.
         self.events_processed = 0
-        #: Optional deterministic profiler (duck-typed against
-        #: :class:`repro.obs.prof.Profiler`: ``event_begin(event)`` /
-        #: ``event_end()``).  Read once per :meth:`run` call, so ``None``
-        #: costs the event loop a local ``is None`` test per event — the
-        #: kernel never imports :mod:`repro.obs`.
-        self.profiler: Optional[Any] = None
 
     # -- clock ----------------------------------------------------------
     @property
@@ -426,7 +421,6 @@ class Simulator:
         until the queue drains, the next event lies beyond ``horizon``, or
         ``stop`` has fired."""
         queue = self._queue
-        prof = self.profiler
         fired = 0
         try:
             while queue:
@@ -437,20 +431,10 @@ class Simulator:
                 self._now = when
                 fired += 1
                 callbacks = event.callbacks
-                if prof is None:
-                    event.callbacks = None
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                else:
-                    prof.event_begin(event)
-                    try:
-                        event.callbacks = None
-                        event._processed = True
-                        for callback in callbacks:
-                            callback(event)
-                    finally:
-                        prof.event_end()
+                event.callbacks = None
+                event._processed = True
+                for callback in callbacks:
+                    callback(event)
                 if self._crashed is not None:
                     exc, self._crashed = self._crashed, None
                     raise exc

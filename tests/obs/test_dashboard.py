@@ -229,7 +229,7 @@ def test_fig5_style_chaos_run_acceptance():
     assert "M1" in html and "M2" in html
 
 
-# -- trace + kernel-profile panels ------------------------------------------------
+# -- trace panel ------------------------------------------------------------------
 def _traced_doc():
     from repro.obs import trace as _trace
     import random
@@ -258,32 +258,10 @@ def test_trace_panel_groups_spans_by_trace_id():
     assert trace_id in html
 
 
-def test_kernel_profile_panel_from_bench_file():
-    bench_doc = {
-        "bench": "kernel_profile",
-        "events_per_second": 150000.0,
-        "events_processed": 2882,
-        "profile": {"frames": [
-            {"name": "Timeout→proc:rank0", "count": 40,
-             "self_ns": 2_000_000, "cum_ns": 2_500_000},
-        ]},
-    }
-    doc, _ = _traced_doc()
-    data = build_dashboard(doc, bench=[("BENCH_kernel_profile.json", bench_doc)])
-    kernel = data["kernel_profile"]
-    assert kernel["source"] == "BENCH_kernel_profile.json"
-    assert kernel["frames"][0]["name"] == "Timeout→proc:rank0"
-    text = render_terminal(data)
-    assert "kernel hot frames" in text and "Timeout→proc:rank0" in text
-    html = render_html(data)
-    assert "Kernel profile" in html and "150,000 events/s" in html
-
-
 def test_panels_degrade_gracefully_when_absent():
     data = build_dashboard(_sample_doc())
-    assert data["traces"] == {} and data["kernel_profile"] is None
+    assert data["traces"] == {}
     text = render_terminal(data)
-    assert "traces:" not in text and "kernel hot frames" not in text
+    assert "traces:" not in text
     html = render_html(data)
     assert "no traced spans" in html
-    assert "no BENCH_kernel_profile.json ingested" in html

@@ -250,48 +250,6 @@ def test_suite_metrics_out(tmp_path, capsys):
     assert _value(doc, "sim_events_total") > 0
 
 
-# -- obs profile ------------------------------------------------------------------
-def test_obs_profile_kernel_writes_every_artifact(tmp_path, capsys):
-    json_out = str(tmp_path / "profile.json")
-    speedscope = str(tmp_path / "profile.speedscope.json")
-    collapsed = str(tmp_path / "profile.collapsed")
-    assert main(["obs", "profile", "--target", "kernel", "--nodes", "4",
-                 "--sizes", "1024", "--reps", "1", "--top", "5",
-                 "--json-out", json_out, "--speedscope", speedscope,
-                 "--collapsed", collapsed]) == 0
-    out = capsys.readouterr().out
-    assert "events/s" in out and "frame" in out
-
-    doc = json.load(open(json_out))
-    assert doc["bench"] == "kernel_profile"
-    assert doc["events_processed"] > 0
-    assert doc["profile"]["frames"]
-
-    scope = json.load(open(speedscope))
-    assert scope["profiles"][0]["unit"] == "nanoseconds"
-    lines = open(collapsed).read().strip().splitlines()
-    assert lines and all(" " in line for line in lines)
-
-
-def test_obs_profile_service_mixes_load_and_kernel_frames(tmp_path, capsys):
-    json_out = str(tmp_path / "service.json")
-    assert main(["obs", "profile", "--target", "service", "--nodes", "4",
-                 "--sizes", "1024", "--requests", "3",
-                 "--json-out", json_out]) == 0
-    doc = json.load(open(json_out))
-    names = {frame["name"] for frame in doc["frames"]}
-    assert "load.predict" in names and "load.kernel" in names
-    counts = {f["name"]: f["count"] for f in doc["frames"]}
-    assert counts["load.predict"] == 3
-
-
-def test_obs_profile_json_format(capsys):
-    assert main(["obs", "profile", "--target", "kernel", "--nodes", "4",
-                 "--sizes", "1024", "--reps", "1", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["bench"] == "kernel_profile"
-
-
 # -- obs trace stitch -------------------------------------------------------------
 def _write_snapshot(path, epoch, spans):
     json.dump({"format": "repro-telemetry", "version": 1, "metrics": {},
