@@ -649,10 +649,6 @@ def cmd_serve(args) -> int:
         workers=args.workers, batch_window=args.batch_window,
         queue_limit=args.queue_limit, telemetry=not args.no_telemetry,
         snapshot_path=args.snapshot,
-        timeline=not args.no_timeline,
-        flight_spill=args.flight_spill,
-        flight_dump_dir=args.flight_dump_dir,
-        flight_sync_interval=args.flight_sync_interval,
     )
 
     async def _run() -> None:
@@ -698,17 +694,10 @@ def _serve_supervised(args) -> int:
         command += ["--no-telemetry"]
     if args.snapshot is not None:
         command += ["--snapshot", args.snapshot]
-    if args.no_timeline:
-        command += ["--no-timeline"]
-    if args.flight_dump_dir is not None:
-        command += ["--flight-dump-dir", args.flight_dump_dir]
-    if args.flight_sync_interval != 0.25:
-        command += ["--flight-sync-interval", str(args.flight_sync_interval)]
     endpoint = args.unix if args.unix is not None else f"{args.host}:{port}"
     supervisor = Supervisor(SupervisorConfig(
         command=command, host=args.host, port=port, unix_path=args.unix,
         restart_limit=args.restart_limit, restart_window=args.restart_window,
-        flight_dir=args.flight_dir,
     ))
     _emit(args, f"supervising on {endpoint}",
           {"supervising": endpoint, "command": command})
@@ -843,104 +832,24 @@ def _cmd_obs_stitch(args) -> int:
     return 0
 
 
-def _cmd_obs_flight(args) -> int:
-    """``repro obs flight inspect|dump|stitch`` — black-box post-mortems.
-
-    ``inspect`` renders a flight dump (or a raw ``.spill`` file) as one
-    readable screen; ``dump`` recovers a crashed child's spill file into
-    a durable dump; ``stitch`` merges the telemetry embedded in several
-    dumps into one clock-aligned Chrome trace (same machinery as
-    ``repro obs trace stitch``).
-    """
-    from repro.obs import flight as _flightmod
-
-    if args.flight_action == "inspect":
-        try:
-            payload = _flightmod.load_any(args.path)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read flight recording: {exc}", file=sys.stderr)
-            return 2
-        _emit(args, _flightmod.render_inspect(payload), payload)
-        return 0
-    if args.flight_action == "dump":
-        out = args.out
-        if out is None:
-            base, _ = os.path.splitext(args.spill)
-            out = base + ".json"
-        try:
-            _flightmod.recover_spill(args.spill, out, reason=args.reason)
-        except (OSError, ValueError) as exc:
-            print(f"cannot recover spill: {exc}", file=sys.stderr)
-            return 2
-        print(f"flight dump written to {out}")
-        return 0
-    # stitch: pull the embedded telemetry snapshot out of each dump and
-    # reuse the distributed-trace stitcher.
-    named = []
-    try:
-        for pair in args.inputs or []:
-            name, sep, path = pair.partition("=")
-            if not sep:
-                name, path = os.path.splitext(os.path.basename(pair))[0], pair
-            payload = _flightmod.load_any(path)
-            named.append((name, _flightmod.telemetry_of(payload)))
-    except (OSError, ValueError) as exc:
-        print(f"cannot read flight dump: {exc}", file=sys.stderr)
-        return 2
-    if not named:
-        print("nothing to stitch: pass at least one --in NAME=PATH",
-              file=sys.stderr)
-        return 2
-    if args.list:
-        traces = list_traces(named)
-        if not traces:
-            print("no trace-stamped spans in these flight dumps")
-            return 0
-        for trace_id in sorted(traces):
-            info = traces[trace_id]
-            print(f"{trace_id}  {info['spans']} span(s) across "
-                  f"{','.join(info['processes'])}: {','.join(info['names'])}")
-        return 0
-    try:
-        rendered = stitch_chrome_trace(named, trace_id=args.trace_id)
-    except ValueError as exc:
-        print(f"stitch failed: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered)
-        print(f"stitched chrome trace written to {args.out}")
-    else:
-        print(rendered)
-    return 0
-
-
 def cmd_obs(args) -> int:
-    """``repro obs report|export|dashboard|watch|top|flight|trace`` —
-    telemetry snapshot inspection.
+    """``repro obs report|export|dashboard|watch|trace`` — telemetry
+    snapshot inspection.
 
     ``report`` prints a one-screen summary (or the raw document with
     ``--format json``); ``export`` re-renders it as Prometheus text
     (``--format prom``), pretty JSON, or Chrome trace JSON of its spans;
     ``dashboard`` writes the self-contained HTML observatory and prints
     the terminal view; ``watch`` re-renders the terminal view
-    periodically; ``top`` is the dense operator variant (firing alerts,
-    SLO budgets, rate sparklines); ``flight`` inspects/recovers/stitches
-    flight-recorder dumps; ``trace stitch`` merges per-process
-    snapshots into one clock-aligned distributed timeline.
+    periodically; ``trace stitch`` merges per-process snapshots into one
+    clock-aligned distributed timeline.
     """
     if args.action == "trace":
         return _cmd_obs_stitch(args)
-    if args.action == "flight":
-        return _cmd_obs_flight(args)
-    if args.action in ("watch", "top"):
-        as_json = getattr(args, "format", "text") == "json"
-        if as_json:
+    if args.action == "watch":
+        formatter = None
+        if args.format == "json":
             formatter = lambda data: json.dumps(data, indent=2)  # noqa: E731
-        elif args.action == "top":
-            formatter = _insight.render_top
-        else:
-            formatter = None
         try:
             _insight.watch(
                 args.metrics, interval=args.interval, count=args.count,
@@ -1231,24 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--restart-window", type=float, default=60.0,
                          help="sliding crash-loop window in seconds "
                               "(default 60)")
-    p_serve.add_argument("--no-timeline", action="store_true",
-                         help="disable the windowed time-series store "
-                              "(obs verb replies lose rate/SLO sections)")
-    p_serve.add_argument("--flight-spill", default=None, metavar="PATH",
-                         help="mirror the flight recorder to this file so a "
-                              "SIGKILL still leaves a recoverable black box "
-                              "(supervised children get one automatically "
-                              "under --flight-dir)")
-    p_serve.add_argument("--flight-dump-dir", default=None, metavar="DIR",
-                         help="write flight dumps here on alert fires and "
-                              "aborts (enables the recorder)")
-    p_serve.add_argument("--flight-sync-interval", type=float, default=0.25,
-                         help="min seconds between spill syncs (0 = sync on "
-                              "every request; default 0.25)")
-    p_serve.add_argument("--flight-dir", default=None, metavar="DIR",
-                         help="(with --supervised) per-incarnation spill "
-                              "files live here and crashed/wedged children "
-                              "are post-mortemed into flight-*.json dumps")
 
     p_client = sub.add_parser(
         "client", help="send one request to a running repro serve daemon",
@@ -1282,8 +1173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="inspect/convert telemetry snapshots from --metrics-out, "
-             "flight dumps and cross-process traces",
+        help="inspect/convert telemetry snapshots from --metrics-out "
+             "and cross-process traces",
     )
     obs_sub = p_obs.add_subparsers(dest="action", required=True)
     p_obs_report = obs_sub.add_parser(
@@ -1322,58 +1213,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="seconds between refreshes")
     p_obs_watch.add_argument("--count", type=int, default=None,
                              help="stop after N refreshes (default: forever)")
-    p_obs_top = obs_sub.add_parser(
-        "top",
-        help="live operator view: firing alerts, SLO budgets, rate "
-             "sparklines (re-reads the snapshot like watch)",
-        parents=[common])
-    p_obs_top.add_argument("--metrics", required=True,
-                           help="snapshot JSON written by --metrics-out "
-                                "(or periodically rewritten by a driver)")
-    p_obs_top.add_argument("--interval", type=float, default=2.0,
-                           help="seconds between refreshes")
-    p_obs_top.add_argument("--count", type=int, default=None,
-                           help="stop after N refreshes (default: forever)")
-    p_obs_flight = obs_sub.add_parser(
-        "flight",
-        help="flight-recorder post-mortems: inspect / dump / stitch")
-    flight_sub = p_obs_flight.add_subparsers(dest="flight_action",
-                                             required=True)
-    p_fl_inspect = flight_sub.add_parser(
-        "inspect",
-        help="render a flight dump (or raw .spill) as one screen",
-        parents=[common])
-    p_fl_inspect.add_argument("path",
-                              help="a flight-*.json dump or a raw spill "
-                                   "file written by the recorder")
-    p_fl_dump = flight_sub.add_parser(
-        "dump", help="recover a crashed process's spill into a dump")
-    p_fl_dump.add_argument("--spill", required=True,
-                           help="the mmap-style spill file the dead "
-                                "process left behind")
-    p_fl_dump.add_argument("--out", default=None,
-                           help="dump path (default: the spill path with "
-                                "a .json suffix)")
-    p_fl_dump.add_argument("--reason", default="manual",
-                           help="reason recorded in the dump "
-                                "(default: manual)")
-    p_fl_stitch = flight_sub.add_parser(
-        "stitch",
-        help="merge the telemetry inside several dumps into one "
-             "clock-aligned Chrome trace")
-    p_fl_stitch.add_argument("--in", dest="inputs", action="append",
-                             metavar="NAME=PATH", default=None,
-                             help="a flight dump (or spill) labelled with "
-                                  "its process name; repeatable")
-    p_fl_stitch.add_argument("--trace-id", default=None,
-                             help="keep only spans/events of this trace "
-                                  "(default: everything)")
-    p_fl_stitch.add_argument("--list", action="store_true",
-                             help="list trace ids present instead of "
-                                  "stitching")
-    p_fl_stitch.add_argument("--out", default=None,
-                             help="write the Chrome trace here instead of "
-                                  "stdout")
     p_obs_trace = obs_sub.add_parser(
         "trace",
         help="merge per-process snapshots into one distributed timeline")

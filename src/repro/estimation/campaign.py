@@ -762,10 +762,6 @@ class Campaign:
                 "campaign_units_total", help="campaign units by final outcome",
                 outcome=outcome,
             ).inc()
-            # Unit cadence drives the timeline/flight attachments (both
-            # internally rate-limited) so a long campaign accrues windowed
-            # history without any background thread.
-            _obs.pulse()
         return outcome
 
     def _process_unit_inner(self, index: int) -> str:

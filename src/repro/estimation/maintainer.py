@@ -27,7 +27,6 @@ maintainer gives up on splicing and re-estimates everything.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -324,22 +323,6 @@ class ModelMaintainer:
             )
             for evt in self.health_events.events("heal_cycle")
         ]
-
-    @property
-    def health_log(self) -> list[HealthRecord]:
-        """Deprecated accessor kept for PR-1-era callers.
-
-        The canonical storage is now ``health_events`` (an
-        :class:`repro.obs.events.EventLog`); this shim rebuilds the old
-        list-of-records view from it.
-        """
-        warnings.warn(
-            "ModelMaintainer.health_log is deprecated; use health_records() "
-            "or the structured health_events log",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.health_records()
 
     def render_log(self) -> str:
         """The health log as a human-readable block."""

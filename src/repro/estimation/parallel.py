@@ -799,7 +799,6 @@ class ParallelCampaign:
         for future in futures:
             future.add_done_callback(finished.put)
         for _ in futures:
-            _obs.pulse()  # coordinator cadence for the timeline/flight rings
             try:
                 future = finished.get(timeout=PROGRESS_DEADLINE)
             except _queue.Empty:
@@ -847,10 +846,6 @@ class ParallelCampaign:
         tel = _obs.ACTIVE
         if tel is not None:
             tel.events.warning("parallel_worker_dead", workers=workers, reason=reason)
-            if tel.flight is not None:
-                # A worker death is post-mortem material: get the current
-                # rings onto the spill before anything else goes wrong.
-                tel.flight.sync(reason="worker_dead")
         merged = _collect_worker_units(self.path, self.header)
         landed = merged.done.keys() | merged.failed.keys() | merged.skipped.keys()
         handed = sum(len(group) for group in self.pending)

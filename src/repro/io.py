@@ -4,16 +4,15 @@ Estimation is expensive (the paper spends a section minimizing its cost),
 so estimated models are worth persisting: estimate once at cluster-bringup,
 reload at application start.
 
-The current format (schema version 2) is one unified envelope::
+The format (schema version 2) is one unified envelope::
 
     {"model": "ExtendedLMOModel", "schema_version": 2, "params": {...}}
 
 where ``params`` is exactly what the type's own ``to_dict`` produces and
 ``from_dict`` consumes — the envelope carries no knowledge of any type's
-internals.  Legacy version-1 documents (``{"format": "repro-model",
-"version": 1, "payload": {...}}``) still load, with the process-wide
-consolidated ``DeprecationWarning`` of :mod:`repro.api.compat`; new
-documents are always written as version 2.
+internals.  Documents without a ``schema_version`` (the retired
+version-1 ``{"format": "repro-model", "version": 1, ...}`` layout
+included) are rejected.
 
 Example
 -------
@@ -32,10 +31,8 @@ import os
 import tempfile
 from typing import Any
 
-import numpy as np
-
 from repro.cluster.params import GroundTruth
-from repro.cluster.spec import ClusterSpec, NodeType
+from repro.cluster.spec import ClusterSpec
 from repro.models.hockney import HeterogeneousHockneyModel, HockneyModel
 from repro.models.loggp import LogGPModel
 from repro.models.logp import LogPModel
@@ -50,13 +47,10 @@ __all__ = [
     "loads",
     "save",
     "load",
-    "FORMAT_VERSION",
     "SCHEMA_VERSION",
 ]
 
-#: Legacy envelope version, still readable.
-FORMAT_VERSION = 1
-#: Current envelope version, always written.
+#: Envelope version, always written and required on read.
 SCHEMA_VERSION = 2
 
 #: Every serializable type, keyed by the name stored in the envelope.
@@ -91,17 +85,23 @@ def dumps(obj: Any, indent: int = 2) -> str:
 
 
 def loads(text: str) -> Any:
-    """Inverse of :func:`dumps` (validates the envelope).
-
-    Accepts both the current schema-v2 envelope and legacy v1 documents
-    (the latter with a ``DeprecationWarning``).
-    """
+    """Inverse of :func:`dumps` (validates the schema-v2 envelope)."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("not a repro-model document")
-    if "schema_version" in doc:
-        return _loads_v2(doc)
-    return _loads_legacy(doc)
+    version = doc.get("schema_version")
+    if version is None:
+        raise ValueError("not a schema-v2 repro-model document")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {version!r}")
+    name = doc.get("model")
+    cls = _TYPES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown document type {name!r}")
+    params = doc.get("params")
+    if not isinstance(params, dict):
+        raise ValueError("schema-v2 document has no params object")
+    return cls.from_dict(params)
 
 
 def save(obj: Any, path: str) -> None:
@@ -142,82 +142,3 @@ def atomic_save(obj: Any, path: str) -> None:
     """Like :func:`save`, but crash-safe (write-temp-then-rename)."""
     atomic_write_text(path, dumps(obj))
 
-
-# -- schema v2 ------------------------------------------------------------------
-def _loads_v2(doc: dict) -> Any:
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {version!r}")
-    name = doc.get("model")
-    cls = _TYPES.get(name)
-    if cls is None:
-        raise ValueError(f"unknown document type {name!r}")
-    params = doc.get("params")
-    if not isinstance(params, dict):
-        raise ValueError("schema-v2 document has no params object")
-    return cls.from_dict(params)
-
-
-# -- legacy v1 ------------------------------------------------------------------
-def _loads_legacy(doc: dict) -> Any:
-    if doc.get("format") != "repro-model":
-        raise ValueError("not a repro-model document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {doc.get('version')!r}")
-    from repro.api.compat import warn_legacy  # local: io must not import api eagerly
-
-    warn_legacy("legacy version-1 repro-model document (re-save it to "
-                "upgrade to schema version 2)", stacklevel=4)
-    return _decode_legacy(doc["payload"])
-
-
-def _unmatrix(values: list) -> np.ndarray:
-    def decode(x):
-        return np.inf if x == "inf" else float(x)
-
-    if values and isinstance(values[0], list):
-        return np.array([[decode(x) for x in row] for row in values])
-    return np.array([decode(x) for x in values])
-
-
-def _decode_legacy(doc: dict) -> Any:
-    """Decoder of the v1 'type'-tagged payloads, kept verbatim for old files."""
-    kind = doc.get("type")
-    if kind == "ClusterSpec":
-        return ClusterSpec(
-            nodes=tuple(NodeType(**node) for node in doc["nodes"]),
-            name=doc["name"],
-        )
-    if kind == "GroundTruth":
-        return GroundTruth(C=_unmatrix(doc["C"]), t=_unmatrix(doc["t"]),
-                           L=_unmatrix(doc["L"]), beta=_unmatrix(doc["beta"]))
-    if kind == "ExtendedLMOModel":
-        irregularity = None
-        if "gather_irregularity" in doc:
-            irregularity = _decode_legacy(doc["gather_irregularity"])
-        return ExtendedLMOModel(C=_unmatrix(doc["C"]), t=_unmatrix(doc["t"]),
-                                L=_unmatrix(doc["L"]), beta=_unmatrix(doc["beta"]),
-                                gather_irregularity=irregularity)
-    if kind == "LMOModel":
-        return LMOModel(C=_unmatrix(doc["C"]), t=_unmatrix(doc["t"]),
-                        beta=_unmatrix(doc["beta"]))
-    if kind == "GatherIrregularity":
-        return GatherIrregularity(m1=doc["m1"], m2=doc["m2"],
-                                  escalation_value=doc["escalation_value"],
-                                  p_at_m1=doc["p_at_m1"], p_at_m2=doc["p_at_m2"])
-    if kind == "HeterogeneousHockneyModel":
-        return HeterogeneousHockneyModel(alpha=_unmatrix(doc["alpha"]),
-                                         beta=_unmatrix(doc["beta"]))
-    if kind == "HockneyModel":
-        return HockneyModel(alpha=doc["alpha"], beta=doc["beta"], n=doc["n"])
-    if kind == "LogGPModel":
-        return LogGPModel(L=doc["L"], o=doc["o"], g=doc["g"], G=doc["G"], P=doc["P"])
-    if kind == "LogPModel":
-        return LogPModel(L=doc["L"], o=doc["o"], g=doc["g"], P=doc["P"],
-                         packet_bytes=doc["packet_bytes"])
-    if kind == "PLogPModel":
-        return PLogPModel(L=doc["L"], P=doc["P"], o_s=_decode_legacy(doc["o_s"]),
-                          o_r=_decode_legacy(doc["o_r"]), g=_decode_legacy(doc["g"]))
-    if kind == "PiecewiseLinear":
-        return PiecewiseLinear(xs=tuple(doc["xs"]), ys=tuple(doc["ys"]))
-    raise ValueError(f"unknown document type {kind!r}")

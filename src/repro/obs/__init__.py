@@ -30,13 +30,6 @@ Quick start::
 """
 
 from repro.obs.events import LEVELS, EventLog
-from repro.obs.flight import (
-    FlightRecorder,
-    enable_flight,
-    load_dump,
-    read_spill,
-    recover_spill,
-)
 from repro.obs.export import (
     SNAPSHOT_FORMAT,
     chrome_trace,
@@ -57,19 +50,11 @@ from repro.obs.runtime import (
     active,
     disable,
     enable,
-    pulse,
     span,
     suppressed,
 )
-from repro.obs.slo import SLOSpec, SLOStatus, default_slos, evaluate_slos
 from repro.obs.spans import Span, SpanRecorder
 from repro.obs.stitch import list_traces, stitch_chrome_trace, unwrap_snapshot
-from repro.obs.timeline import (
-    DEFAULT_TIERS,
-    TimelineStore,
-    WindowTier,
-    enable_timeline,
-)
 from repro.obs.trace import (
     TraceContext,
     current_traceparent,
@@ -78,42 +63,28 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "DEFAULT_TIERS",
     "LEVELS",
     "SNAPSHOT_FORMAT",
     "Counter",
     "EventLog",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SLOSpec",
-    "SLOStatus",
     "Span",
     "SpanRecorder",
     "Telemetry",
-    "TimelineStore",
     "TraceContext",
-    "WindowTier",
     "active",
     "bucket_quantile",
     "chrome_trace",
     "current_traceparent",
-    "default_slos",
     "disable",
     "enable",
-    "enable_flight",
-    "enable_timeline",
-    "evaluate_slos",
     "insight",
     "list_traces",
-    "load_dump",
     "new_context",
     "parse_traceparent",
     "prometheus_text",
-    "pulse",
-    "read_spill",
-    "recover_spill",
     "render_report",
     "snapshot_prometheus",
     "span",

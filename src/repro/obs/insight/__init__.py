@@ -1,6 +1,6 @@
 """repro.obs.insight — the model-fidelity observatory.
 
-PR 4's telemetry answers *what the process did* (counters, spans,
+The telemetry layer answers *what the process did* (counters, spans,
 events).  This package answers the paper's actual question — *is the
 model still right, and where is it wrong?* — continuously, from the same
 telemetry stream:
@@ -15,14 +15,14 @@ telemetry stream:
   the offline :func:`repro.estimation.empirical.detect_gather_irregularity`;
 * :mod:`repro.obs.insight.alerts` — a declarative alert rules engine
   over metric snapshots with firing/resolved lifecycle and an optional
-  :class:`repro.estimation.maintainer.ModelMaintainer` heal hook;
+  ``on_fire`` hook;
 * :mod:`repro.obs.insight.dashboard` — one dependency-free HTML
   dashboard plus a terminal summary (``repro obs dashboard`` /
   ``repro obs watch``).
 
-Everything here is stdlib-only and reads the PR 4 snapshot document, so
-it works equally on a live session and on a ``--metrics-out`` file from
-a finished run.
+Everything here is stdlib-only and reads the telemetry snapshot
+document, so it works equally on a live session and on a
+``--metrics-out`` file from a finished run.
 """
 
 from repro.obs.insight.alerts import (
@@ -30,14 +30,11 @@ from repro.obs.insight.alerts import (
     AlertRule,
     AlertState,
     default_rules,
-    heal_hook,
-    slo_burn_rules,
 )
 from repro.obs.insight.dashboard import (
     build_dashboard,
     render_html,
     render_terminal,
-    render_top,
     watch,
 )
 from repro.obs.insight.detectors import (
@@ -68,13 +65,10 @@ __all__ = [
     "Scorecard",
     "build_dashboard",
     "default_rules",
-    "heal_hook",
     "render_html",
     "render_scorecards",
     "render_terminal",
-    "render_top",
     "scorecards",
     "size_bucket",
-    "slo_burn_rules",
     "watch",
 ]

@@ -4,11 +4,9 @@ An :class:`AlertRule` names a scalar derived from the metrics section of
 a snapshot document and a threshold for it; an :class:`AlertEngine`
 evaluates a rule set against successive snapshots, tracks the
 firing/resolved lifecycle, narrates transitions into the event log, and
-can invoke a hook — e.g. :func:`heal_hook` wrapping a
-:class:`repro.estimation.maintainer.ModelMaintainer` — when a rule with
-``trigger_heal`` starts firing.
+can invoke an ``on_fire`` hook when a rule starts firing.
 
-Eight rule kinds cover the observatory's needs without a query language:
+Seven rule kinds cover the observatory's needs without a query language:
 
 * ``metric_value`` — sum of one family's samples whose labels include
   ``rule.labels`` (e.g. ``breaker_nodes{state=open}``);
@@ -24,24 +22,15 @@ Eight rule kinds cover the observatory's needs without a query language:
   :mod:`detector <repro.obs.insight.detectors>` histograms;
 * ``residual`` — a scorecard statistic (``p95``/``mean``/``max``/``bias``)
   for a model/operation selection, worst-case across matching cards;
-* ``slo_burn_rate`` — ``min(burn(fast_window), burn(slow_window))`` of
-  the named :class:`repro.obs.slo.SLOSpec` over the timeline passed to
-  :meth:`AlertEngine.evaluate` — the SRE multi-window pattern: both
-  windows must burn hot before the rule fires (0.0, i.e. quiet, when no
-  timeline or spec is available);
 * ``metric_absent`` — staleness: counts consecutive evaluations in which
   a family that *has reported before* shows no new activity (absent, or
   a counter total frozen in place).  Catches workers that die silently
   — the failure mode a threshold on a value can never see.
 
-The two stateful additions make the engine itself stateful across
-snapshots; :meth:`AlertEngine.to_dict` / :meth:`AlertEngine.from_dict`
-round-trip that state (firing flags, staleness counters) so dashboards
-and restarts resume the lifecycle instead of re-firing everything.
-Transitions are additionally mirrored into the flight recorder
-(:meth:`repro.obs.flight.FlightRecorder.note_alert`) when one is
-attached — an alert firing is exactly the moment a black-box dump is
-worth keeping.
+The engine is stateful across snapshots (firing flags, ``metric_absent``
+staleness counters); :meth:`AlertEngine.to_dict` /
+:meth:`AlertEngine.from_dict` round-trip that state so dashboards and
+restarts resume the lifecycle instead of re-firing everything.
 """
 
 from __future__ import annotations
@@ -50,7 +39,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from repro.obs import runtime as _runtime
-from repro.obs import slo as _slo
 from repro.obs.events import LEVELS as _LEVELS
 from repro.obs.insight.detectors import ESCALATED_METRIC, TRANSFER_METRIC
 from repro.obs.metrics import bucket_quantile
@@ -61,8 +49,6 @@ __all__ = [
     "AlertRule",
     "AlertState",
     "default_rules",
-    "heal_hook",
-    "slo_burn_rules",
 ]
 
 _OPS: dict[str, Callable[[float, float], bool]] = {
@@ -87,7 +73,7 @@ class AlertRule:
 
     name: str
     kind: str  # metric_value | metric_total | metric_ratio | metric_quantile |
-    #            escalation_rate | residual | slo_burn_rate | metric_absent
+    #            escalation_rate | residual | metric_absent
     threshold: float
     op: str = ">"
     level: str = "warning"
@@ -100,17 +86,12 @@ class AlertRule:
     quantile: float = 0.99
     model: str = ""  # residual rules: "" = any model
     operation: str = ""  # residual rules: "" = any operation
-    #: slo_burn_rate rules: the SLO spec name and the two windows (s).
-    slo: str = ""
-    fast_window: float = 300.0
-    slow_window: float = 3600.0
     description: str = ""
-    trigger_heal: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("metric_value", "metric_total", "metric_ratio",
                              "metric_quantile", "escalation_rate", "residual",
-                             "slo_burn_rate", "metric_absent"):
+                             "metric_absent"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.op not in _OPS:
             raise ValueError(f"unknown comparison {self.op!r}")
@@ -124,13 +105,6 @@ class AlertRule:
         if self.kind == "metric_quantile" and not (0.0 < self.quantile <= 1.0):
             raise ValueError(f"rule {self.name!r} needs a quantile in (0, 1], "
                              f"got {self.quantile}")
-        if self.kind == "slo_burn_rate":
-            if not self.slo:
-                raise ValueError(f"rule {self.name!r} needs an SLO name")
-            if self.fast_window <= 0.0 or self.slow_window < self.fast_window:
-                raise ValueError(
-                    f"rule {self.name!r} needs 0 < fast_window <= slow_window, "
-                    f"got {self.fast_window}/{self.slow_window}")
         if self.level not in _LEVELS:
             raise ValueError(f"unknown level {self.level!r}")
 
@@ -141,10 +115,8 @@ class AlertRule:
             "metric_denom": self.metric_denom,
             "labels": dict(self.labels), "stat": self.stat,
             "quantile": self.quantile, "model": self.model,
-            "operation": self.operation, "slo": self.slo,
-            "fast_window": self.fast_window, "slow_window": self.slow_window,
+            "operation": self.operation,
             "description": self.description,
-            "trigger_heal": self.trigger_heal,
         }
 
     @classmethod
@@ -160,11 +132,7 @@ class AlertRule:
             stat=doc.get("stat", "p95"),
             quantile=float(doc.get("quantile", 0.99)),
             model=doc.get("model", ""), operation=doc.get("operation", ""),
-            slo=doc.get("slo", ""),
-            fast_window=float(doc.get("fast_window", 300.0)),
-            slow_window=float(doc.get("slow_window", 3600.0)),
             description=doc.get("description", ""),
-            trigger_heal=bool(doc.get("trigger_heal", False)),
         )
 
 
@@ -267,43 +235,22 @@ class AlertEngine:
 
     ``on_fire(rule, value)`` is called once per rule on the transition
     into *firing* (never on re-evaluation while still firing).
-
-    ``slos`` names the :class:`repro.obs.slo.SLOSpec` catalog that
-    ``slo_burn_rate`` rules resolve against (defaults to
-    :func:`repro.obs.slo.default_slos`); those rules additionally need a
-    timeline passed to :meth:`evaluate` — without one they read 0.0 and
-    stay quiet, so snapshot-only callers keep working unchanged.
     """
 
     def __init__(
         self,
         rules: Optional[list[AlertRule]] = None,
         on_fire: Optional[Callable[[AlertRule, float], None]] = None,
-        slos: Optional[list[_slo.SLOSpec]] = None,
     ) -> None:
         self.rules = list(rules) if rules is not None else default_rules()
         names = [r.name for r in self.rules]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate rule names in {names}")
         self.on_fire = on_fire
-        self.slos: dict[str, _slo.SLOSpec] = {
-            spec.name: spec
-            for spec in (slos if slos is not None else _slo.default_slos())
-        }
         self._firing: dict[str, bool] = {}
         #: metric_absent state: last seen family total / stale-eval streak.
         self._last_totals: dict[str, float] = {}
         self._stale: dict[str, int] = {}
-
-    def _evaluate_burn(self, rule: AlertRule, timeline: Any,
-                       now: Optional[float]) -> float:
-        spec = self.slos.get(rule.slo)
-        if spec is None or timeline is None:
-            return 0.0
-        return min(
-            _slo.burn_rate(spec, timeline, rule.fast_window, now=now),
-            _slo.burn_rate(spec, timeline, rule.slow_window, now=now),
-        )
 
     def _evaluate_absent(self, rule: AlertRule,
                          metrics: Mapping[str, Any]) -> float:
@@ -325,18 +272,13 @@ class AlertEngine:
             self._stale[rule.name] = self._stale.get(rule.name, 0) + 1
         return float(self._stale[rule.name])
 
-    def evaluate(self, metrics: Mapping[str, Any],
-                 timeline: Any = None,
-                 now: Optional[float] = None) -> list[AlertState]:
+    def evaluate(self, metrics: Mapping[str, Any]) -> list[AlertState]:
         """One pass over the rule set; narrates transitions, runs hooks."""
         cards = scorecards(metrics)
         tel = _runtime.ACTIVE
-        recorder = tel.flight if tel is not None else None
         states: list[AlertState] = []
         for rule in self.rules:
-            if rule.kind == "slo_burn_rate":
-                value = self._evaluate_burn(rule, timeline, now)
-            elif rule.kind == "metric_absent":
+            if rule.kind == "metric_absent":
                 value = self._evaluate_absent(rule, metrics)
             else:
                 value = _evaluate(rule, metrics, cards)
@@ -346,9 +288,6 @@ class AlertEngine:
             states.append(AlertState(rule=rule, value=value, firing=firing))
             if firing == was:
                 continue
-            if recorder is not None:
-                recorder.note_alert(rule=rule.name, firing=firing, value=value,
-                                    threshold=rule.threshold, level=rule.level)
             if firing:
                 if tel is not None:
                     tel.registry.counter(
@@ -377,7 +316,6 @@ class AlertEngine:
         """Rules + lifecycle state, JSON-ready (dashboard/restart resume)."""
         return {
             "rules": [rule.to_dict() for rule in self.rules],
-            "slos": [spec.to_dict() for spec in self.slos.values()],
             "firing": dict(sorted(self._firing.items())),
             "stale": dict(sorted(self._stale.items())),
             "last_totals": dict(sorted(self._last_totals.items())),
@@ -393,7 +331,6 @@ class AlertEngine:
         engine = cls(
             rules=[AlertRule.from_dict(r) for r in doc.get("rules", [])],
             on_fire=on_fire,
-            slos=[_slo.SLOSpec.from_dict(s) for s in doc.get("slos", [])],
         )
         engine._firing = {str(k): bool(v)
                           for k, v in dict(doc.get("firing", {})).items()}
@@ -422,7 +359,7 @@ def default_rules() -> list[AlertRule]:
         AlertRule(
             name="model_drift_high", kind="metric_value",
             metric="maintainer_worst_drift", threshold=0.15, op=">",
-            level="warning", trigger_heal=True,
+            level="warning",
             description="maintainer spot-check drift above 15% — "
                         "re-estimation warranted",
         ),
@@ -483,55 +420,5 @@ def default_rules() -> list[AlertRule]:
                         "reporting before — the daemon (or its watchdog) "
                         "went silent, not loud",
         ),
-    ] + slo_burn_rules(
-        "service_availability", level_fast="error", level_slow="warning",
-    )
-
-
-def slo_burn_rules(
-    slo_name: str,
-    fast_windows: tuple[float, float] = _slo.FAST_WINDOWS,
-    slow_windows: tuple[float, float] = _slo.SLOW_WINDOWS,
-    fast_burn: float = _slo.FAST_BURN,
-    slow_burn: float = _slo.SLOW_BURN,
-    level_fast: str = "error",
-    level_slow: str = "warning",
-) -> list[AlertRule]:
-    """The paging pair for one SLO: fast 5m/1h @ 14.4x, slow 30m/6h @ 6x.
-
-    Window lengths are parameters so tests (and sim-time campaigns) can
-    shrink the pattern without changing its shape.
-    """
-    return [
-        AlertRule(
-            name=f"slo_{slo_name}_burn_fast", kind="slo_burn_rate",
-            slo=slo_name, threshold=fast_burn, op=">", level=level_fast,
-            fast_window=fast_windows[0], slow_window=fast_windows[1],
-            description=f"SLO {slo_name}: error budget burning faster than "
-                        f"{fast_burn}x sustained over both the "
-                        f"{fast_windows[0]:.0f}s and {fast_windows[1]:.0f}s "
-                        f"windows — page",
-        ),
-        AlertRule(
-            name=f"slo_{slo_name}_burn_slow", kind="slo_burn_rate",
-            slo=slo_name, threshold=slow_burn, op=">", level=level_slow,
-            fast_window=slow_windows[0], slow_window=slow_windows[1],
-            description=f"SLO {slo_name}: error budget burning faster than "
-                        f"{slow_burn}x sustained over both the "
-                        f"{slow_windows[0]:.0f}s and {slow_windows[1]:.0f}s "
-                        f"windows — ticket",
-        ),
     ]
 
-
-def heal_hook(maintainer: Any) -> Callable[[AlertRule, float], None]:
-    """An ``on_fire`` hook that runs a maintainer cycle on heal-rules.
-
-    Wire it as ``AlertEngine(rules, on_fire=heal_hook(maintainer))`` —
-    any rule with ``trigger_heal=True`` entering the firing state runs
-    one monitor-and-repair cycle.
-    """
-    def _hook(rule: AlertRule, value: float) -> None:
-        if rule.trigger_heal:
-            maintainer.cycle()
-    return _hook

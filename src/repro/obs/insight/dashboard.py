@@ -21,7 +21,6 @@ import json
 import time
 from typing import Any, Callable, Mapping, Optional, Sequence, TextIO
 
-from repro.obs import slo as _slo
 from repro.obs.export import validate_snapshot
 from repro.obs.insight.alerts import AlertEngine, AlertRule
 from repro.obs.insight.detectors import EscalationDetector
@@ -31,13 +30,11 @@ from repro.obs.insight.residuals import (
     render_scorecards,
     scorecards,
 )
-from repro.obs.timeline import TimelineStore
 
 __all__ = [
     "build_dashboard",
     "render_html",
     "render_terminal",
-    "render_top",
     "watch",
 ]
 
@@ -51,24 +48,6 @@ def _fmt_bytes(value: float) -> str:
     return f"{value:.0f} B"
 
 
-_SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
-
-
-def _spark(points: Sequence[Sequence[float]], width: int = 24) -> str:
-    """Unicode sparkline of the last ``width`` (time, value) points."""
-    values = [float(p[1]) for p in points][-width:]
-    if not values:
-        return ""
-    peak = max(values)
-    if peak <= 0:
-        return _SPARK_GLYPHS[0] * len(values)
-    return "".join(
-        _SPARK_GLYPHS[min(len(_SPARK_GLYPHS) - 1,
-                          int(v / peak * (len(_SPARK_GLYPHS) - 1)))]
-        for v in values
-    )
-
-
 def _metric_sum(metrics: Mapping[str, Any], name: str, **labels: str) -> float:
     family = metrics.get(name)
     if not family:
@@ -80,33 +59,6 @@ def _metric_sum(metrics: Mapping[str, Any], name: str, **labels: str) -> float:
             total += float(sample["count"] if family["type"] == "histogram"
                            else sample["value"])
     return total
-
-
-def _timeline_panel(timeline: TimelineStore) -> dict[str, Any]:
-    """Per-counter rate series for the trend sparklines.
-
-    The middle tier balances span against resolution: the coarsest tier
-    collapses a short-lived process to a single point, the finest one
-    shows only the last couple of minutes of a long-lived one.
-    """
-    horizon = timeline.tiers[len(timeline.tiers) // 2].horizon
-    series: dict[str, dict[str, Any]] = {}
-    for name in timeline.counter_names():
-        points = timeline.series(name, horizon)
-        if not points:
-            continue
-        series[name] = {
-            "rate": timeline.rate(name, horizon),
-            "total": timeline.sum_over_window(name, horizon),
-            "points": [[round(t, 3), round(v, 6)] for t, v in points],
-        }
-    return {
-        "window_seconds": horizon,
-        "tiers": [{"width": t.width, "capacity": t.capacity}
-                  for t in timeline.tiers],
-        "last_tick": timeline.last_tick,
-        "series": series,
-    }
 
 
 def build_dashboard(
@@ -127,23 +79,9 @@ def build_dashboard(
     validate_snapshot(doc)
     metrics = doc.get("metrics", {})
     warnings = list(warnings)
-    timeline: Optional[TimelineStore] = None
-    if isinstance(doc.get("timeline"), Mapping):
-        try:
-            timeline = TimelineStore.from_dict(doc["timeline"])
-        except (ValueError, KeyError, TypeError) as exc:
-            warnings.append(f"timeline section unreadable: {exc}")
     if engine is None:
         engine = AlertEngine(rules=rules)
-    alerts = engine.evaluate(metrics, timeline=timeline)
-    slo_status: list[dict[str, Any]] = []
-    if timeline is not None and timeline.last_tick is not None:
-        slo_status = [
-            status.to_dict()
-            for status in _slo.evaluate_slos(
-                list(engine.slos.values()), timeline
-            )
-        ]
+    alerts = engine.evaluate(metrics)
     cards = scorecards(metrics)
 
     detector = EscalationDetector.from_snapshot(metrics)
@@ -179,14 +117,6 @@ def build_dashboard(
     if drift:
         tiles.append({"label": "worst drift", "value": f"{drift:.1%}",
                       "status": "warning" if drift > 0.15 else "none"})
-    if slo_status:
-        worst = min(s["budget_remaining"] for s in slo_status)
-        tiles.append({
-            "label": "worst SLO budget",
-            "value": f"{worst:.0%}",
-            "status": ("critical" if worst <= 0.0
-                       else "warning" if worst < 0.5 else "good"),
-        })
     if warnings:
         tiles.append({"label": "ingest warnings", "value": str(len(warnings)),
                       "status": "warning"})
@@ -232,8 +162,6 @@ def build_dashboard(
         "tiles": tiles,
         "warnings": warnings,
         "alerts": [a.to_dict() for a in alerts],
-        "slos": slo_status,
-        "timeline": _timeline_panel(timeline) if timeline is not None else None,
         "scorecards": [c.to_dict() for c in cards],
         "irregularity": irregularity,
         "events_by_name": dict(sorted(by_event.items())),
@@ -264,30 +192,6 @@ def render_terminal(data: Mapping[str, Any]) -> str:
             f"  [{mark:>6}] {rule['name']}: {alert['value']:.4g} "
             f"{rule['op']} {rule['threshold']:.4g}"
         )
-    slos = data.get("slos") or ()
-    if slos:
-        lines.append("")
-        lines.append("slos:")
-        for status in slos:
-            spec = status["slo"]
-            lines.append(
-                f"  {spec['name']}: objective {spec['objective']:.4g}, "
-                f"budget {status['budget_remaining']:.0%} left, "
-                f"burn fast {status['burn_fast']:.2f}x / "
-                f"slow {status['burn_slow']:.2f}x "
-                f"({status['good']:.0f}/{status['total']:.0f} good)"
-            )
-    timeline = data.get("timeline")
-    if timeline and timeline.get("series"):
-        lines.append("")
-        lines.append(
-            f"timeline (last {timeline['window_seconds']:.0f}s):"
-        )
-        for name, entry in sorted(timeline["series"].items()):
-            lines.append(
-                f"  {name}: {entry['total']:.0f} total, "
-                f"{entry['rate']:.3g}/s {_spark(entry['points'])}"
-            )
     lines.append("")
     cards = [
         Scorecard(
@@ -328,60 +232,6 @@ def render_terminal(data: Mapping[str, Any]) -> str:
             )
             lines.append(f"  {entry['name']}: {stats}")
     return "\n".join(lines)
-
-
-def render_top(data: Mapping[str, Any]) -> str:
-    """``repro obs top`` — one dense screen: alerts, SLO budgets, rates.
-
-    The same data dict as :func:`render_terminal`, but trimmed to what an
-    operator glances at under pressure: firing alerts first, error-budget
-    gauges, then the busiest counters with sparklines.
-    """
-    summary = data["summary"]
-    lines = [
-        f"{data['title']} — {summary['metric_families']} families, "
-        f"{summary['spans_finished']} spans",
-    ]
-    for warning in data.get("warnings") or ():
-        lines.append(f"  ! {warning}")
-    firing = [a for a in data["alerts"] if a["firing"]]
-    if firing:
-        for alert in firing:
-            rule = alert["rule"]
-            lines.append(
-                f"  FIRING [{rule['level']}] {rule['name']}: "
-                f"{alert['value']:.4g} {rule['op']} {rule['threshold']:.4g}"
-            )
-    else:
-        lines.append(f"  alerts: all {len(data['alerts'])} ok")
-    for status in data.get("slos") or ():
-        spec = status["slo"]
-        gauge = _gauge_bar(status["budget_remaining"])
-        lines.append(
-            f"  slo {spec['name']:<28.28} {gauge} "
-            f"{status['budget_remaining']:>4.0%} budget  "
-            f"burn {status['burn_fast']:.1f}x/{status['burn_slow']:.1f}x"
-        )
-    timeline = data.get("timeline")
-    if timeline and timeline.get("series"):
-        ranked = sorted(
-            timeline["series"].items(),
-            key=lambda kv: -kv[1]["rate"],
-        )
-        for name, entry in ranked[:10]:
-            lines.append(
-                f"  {name:<34.34} {entry['rate']:>9.3g}/s "
-                f"{_spark(entry['points'])}"
-            )
-    else:
-        lines.append("  (no timeline in this snapshot — serve with "
-                     "timeline enabled or tick a TimelineStore)")
-    return "\n".join(lines)
-
-
-def _gauge_bar(fraction: float, width: int = 10) -> str:
-    filled = max(0, min(width, round(float(fraction) * width)))
-    return "[" + "#" * filled + "." * (width - filled) + "]"
 
 
 def watch(
@@ -533,101 +383,6 @@ def _warnings_html(warnings: Sequence[str]) -> str:
     return (
         "<h2>Ingest warnings</h2>"
         f'<ul style="font-size:13px;line-height:1.7">{items}</ul>'
-    )
-
-
-def _budget_gauge_svg(fraction: float) -> str:
-    """A small horizontal budget gauge: filled = budget remaining."""
-    width, height = 120, 12
-    frac = max(0.0, min(1.0, float(fraction)))
-    fill = ("var(--status-critical)" if frac <= 0.0
-            else "var(--status-warning)" if frac < 0.5
-            else "var(--status-good)")
-    return (
-        f'<svg role="img" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" '
-        f'aria-label="error budget {frac:.0%} remaining">'
-        f'<rect x="0" y="0" width="{width}" height="{height}" rx="3" '
-        'fill="var(--grid)"/>'
-        f'<rect x="0" y="0" width="{frac * width:.1f}" height="{height}" '
-        f'rx="3" fill="{fill}"/></svg>'
-    )
-
-
-def _slos_html(slos: Sequence[Mapping[str, Any]]) -> str:
-    if not slos:
-        return ('<p class="muted">no SLO status in this snapshot '
-                "(the timeline section is required to window the ratios)</p>")
-    rows = []
-    for status in slos:
-        spec = status["slo"]
-        burn = max(status["burn_fast"], status["burn_slow"])
-        color, icon = (_STATUS["critical"] if status["budget_remaining"] <= 0
-                       else _STATUS["warning"] if burn > 1.0
-                       else _STATUS["good"])
-        rows.append(
-            f"<tr><td>{_esc(spec['name'])}</td>"
-            f"<td>{spec['objective']:.4g}</td>"
-            f'<td><span style="color:{color}">{icon}</span> '
-            f"{_budget_gauge_svg(status['budget_remaining'])} "
-            f"{status['budget_remaining']:.0%}</td>"
-            f"<td>{status['burn_fast']:.2f}&times;</td>"
-            f"<td>{status['burn_slow']:.2f}&times;</td>"
-            f"<td>{status['good']:.0f} / {status['total']:.0f}</td>"
-            f"<td style='text-align:left'>{_esc(spec['description'])}</td></tr>"
-        )
-    return (
-        '<table class="viz"><thead><tr><th>SLO</th><th>objective</th>'
-        "<th>budget left</th><th>burn (fast)</th><th>burn (slow)</th>"
-        "<th>good / total</th><th>description</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-
-
-def _series_svg(points: Sequence[Sequence[float]]) -> str:
-    """An inline area sparkline for one counter's per-window rate."""
-    width, height = 160, 28
-    values = [float(p[1]) for p in points][-40:]
-    if not values:
-        return ""
-    peak = max(max(values), 1e-12)
-    step = width / max(len(values), 1)
-    coords = [
-        (idx * step + step / 2, height - (v / peak) * (height - 4))
-        for idx, v in enumerate(values)
-    ]
-    path = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
-    return (
-        f'<svg role="img" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" aria-label="rate over time">'
-        f'<line x1="0" y1="{height - 1}" x2="{width}" y2="{height - 1}" '
-        'stroke="var(--baseline)" stroke-width="1"/>'
-        f'<polyline points="{path}" fill="none" stroke="var(--series-1)" '
-        'stroke-width="1.5"/></svg>'
-    )
-
-
-def _timeline_html(timeline: Optional[Mapping[str, Any]]) -> str:
-    if not timeline or not timeline.get("series"):
-        return ('<p class="muted">no timeline in this snapshot — the serve '
-                "daemon records one by default; scripts can attach one with "
-                "<code>repro.obs.enable_timeline()</code></p>")
-    rows = "".join(
-        f"<tr><td>{_esc(name)}</td><td>{entry['total']:.0f}</td>"
-        f"<td>{entry['rate']:.4g}</td>"
-        f"<td style='text-align:left'>{_series_svg(entry['points'])}</td></tr>"
-        for name, entry in sorted(timeline["series"].items())
-    )
-    caption = (
-        f"<p>windowed counters over the last "
-        f"{timeline['window_seconds']:.0f}&nbsp;s "
-        f"({len(timeline['series'])} series)</p>"
-    )
-    return (
-        f"{caption}"
-        '<table class="viz"><thead><tr><th>counter</th><th>total</th>'
-        "<th>rate /s</th><th>trend</th></tr></thead>"
-        f"<tbody>{rows}</tbody></table>"
     )
 
 
@@ -826,10 +581,6 @@ def render_html(data: Mapping[str, Any]) -> str:
 {_warnings_html(data.get("warnings") or ())}
 <h2>Alerts</h2>
 {_alerts_html(data["alerts"])}
-<h2>SLOs &amp; error budgets</h2>
-{_slos_html(data.get("slos") or ())}
-<h2>Timeline</h2>
-{_timeline_html(data.get("timeline"))}
 <h2>Residual scorecards</h2>
 {_scorecards_html(data["scorecards"])}
 <h2>Gather irregularity (live)</h2>

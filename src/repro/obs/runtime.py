@@ -34,21 +34,12 @@ from repro.obs.metrics import MetricsRegistry, prometheus_text
 from repro.obs.spans import SpanRecorder
 
 __all__ = [
-    "Telemetry", "ACTIVE", "active", "enable", "disable", "span",
-    "suppressed", "pulse",
+    "Telemetry", "ACTIVE", "active", "enable", "disable", "span", "suppressed",
 ]
 
 
 class Telemetry:
-    """One telemetry session: a registry, a span recorder, an event log.
-
-    Two optional attachments extend the session without new imports (the
-    switchboard must stay importable from the innermost layers):
-    ``timeline`` (a :class:`repro.obs.timeline.TimelineStore`, attached
-    by ``enable_timeline``) and ``flight`` (a
-    :class:`repro.obs.flight.FlightRecorder`, attached by
-    ``enable_flight``).  Both are driven by :func:`pulse`.
-    """
+    """One telemetry session: a registry, a span recorder, an event log."""
 
     def __init__(
         self,
@@ -59,8 +50,6 @@ class Telemetry:
         self.registry = MetricsRegistry()
         self.spans = SpanRecorder(capacity=span_capacity)
         self.events = EventLog(capacity=event_capacity, jsonl_path=events_jsonl)
-        self.timeline: Optional[Any] = None
-        self.flight: Optional[Any] = None
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -69,7 +58,7 @@ class Telemetry:
         This is the interchange format ``--metrics-out`` writes and
         ``repro obs report/export`` reads back.
         """
-        doc = {
+        return {
             "format": "repro-telemetry",
             "version": 1,
             "metrics": self.registry.snapshot(),
@@ -80,9 +69,6 @@ class Telemetry:
             "events": self.events.to_dicts(),
             "dropped": {"spans": self.spans.dropped, "events": self.events.dropped},
         }
-        if self.timeline is not None:
-            doc["timeline"] = self.timeline.to_dict()
-        return doc
 
     def to_prometheus(self) -> str:
         return prometheus_text(self.registry.snapshot())
@@ -95,8 +81,6 @@ class Telemetry:
 
     def close(self) -> None:
         self.events.close()
-        if self.flight is not None:
-            self.flight.close()
 
 
 class _NullSpan:
@@ -179,21 +163,3 @@ def span(name: str, **attrs: Any):
         return _NULL_SPAN
     return tel.spans.span(name, **attrs)
 
-
-def pulse() -> None:
-    """Advance the session's periodic attachments, rate-limited by them.
-
-    Instrumented call sites with a natural cadence (service dispatch,
-    campaign units, supervisor probes) call this instead of running
-    background threads: the timeline ticks at most once per finest
-    window, the flight recorder re-mirrors its rings to the spill file
-    at most once per ``sync_interval``.  Costs one ``is None`` check
-    when telemetry is off.
-    """
-    tel = ACTIVE
-    if tel is None:
-        return
-    if tel.timeline is not None:
-        tel.timeline.maybe_tick()
-    if tel.flight is not None:
-        tel.flight.maybe_sync()

@@ -20,7 +20,6 @@ import asyncio
 import threading
 from typing import Any, Optional
 
-from repro.obs import runtime as _obs
 from repro.serve.client import ServiceClient
 from repro.serve.server import PredictionServer, ServeConfig
 from repro.serve.service import STOPPED
@@ -85,13 +84,6 @@ class ServerThread:
             # or orphaned worker tasks behind — a graceful drain already
             # reached STOPPED, anything else gets the hard cleanup.
             if server.state != STOPPED:
-                tel = _obs.ACTIVE
-                recorder = tel.flight if tel is not None else None
-                if recorder is not None and recorder.dump_dir is not None:
-                    try:
-                        recorder.dump(reason="server_abort")
-                    except OSError:
-                        pass  # forensics must not block the cleanup
                 await server.abort()
 
     def stop(self, timeout: float = 30.0) -> None:

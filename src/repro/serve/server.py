@@ -53,10 +53,7 @@ from repro.api.errors import (
     error_payload,
 )
 from repro.api.schema import SCHEMA_VERSION
-from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
-from repro.obs import slo as _slo
-from repro.obs import timeline as _timeline
 from repro.obs import trace as _trace
 from repro.obs.insight.alerts import AlertEngine
 from repro.predict_service import model_fingerprint
@@ -98,20 +95,6 @@ class ServeConfig:
     estimate_queue_limit: int = 4
     #: Enable process telemetry at startup (the ``obs`` verb's source).
     telemetry: bool = True
-    #: Attach a timeline store (windowed metric history driving the
-    #: ``slo_burn_rate`` alerts and the dashboard's time-series panels).
-    #: Requires ``telemetry``; ticks ride the request path via pulse().
-    timeline: bool = True
-    #: Flight-recorder spill file: the bounded black box re-mirrored at
-    #: most every ``flight_sync_interval`` seconds, surviving kill -9.
-    #: None falls back to the REPRO_FLIGHT_SPILL environment variable
-    #: (how the supervisor assigns one per child incarnation).
-    flight_spill: Optional[str] = None
-    #: Directory for durable flight dumps (alert fires, exceptions).
-    flight_dump_dir: Optional[str] = None
-    #: Minimum seconds between spill re-mirrors (0 syncs every pulse —
-    #: deterministic, for tests).
-    flight_sync_interval: float = 0.25
     #: Crash-safe registry snapshot: every runtime-registered model is
     #: persisted here (atomic fsynced write) and restored at startup, so
     #: a ``kill -9`` + restart recovers the estimate overlay.
@@ -277,16 +260,6 @@ class PredictionServer:
             raise RuntimeError(f"server already started ({self.state})")
         if self.config.telemetry:
             _obs.enable()
-            if self.config.timeline:
-                _timeline.enable_timeline()
-            spill = self.config.flight_spill or os.environ.get(_flight.ENV_SPILL)
-            if spill or self.config.flight_dump_dir:
-                _flight.enable_flight(
-                    process="serve",
-                    spill_path=spill or None,
-                    dump_dir=self.config.flight_dump_dir,
-                    sync_interval=self.config.flight_sync_interval,
-                )
         restored = self.registry.restore()
         count = self.registry.load()
         if restored:
@@ -571,10 +544,6 @@ class PredictionServer:
                     "service_request_seconds",
                     help="wall latency per request", verb=verb,
                 ).observe(time.perf_counter() - start)
-                # Request cadence drives the periodic attachments (the
-                # watchdog's health probes keep them alive when idle);
-                # both are rate-limited internally.
-                _obs.pulse()
 
     # -- verbs --------------------------------------------------------------------
     async def _handle_request(self, request: protocol.Request) -> Mapping[str, Any]:
@@ -673,22 +642,14 @@ class PredictionServer:
         if tel is None:
             return {"enabled": False}
         snapshot = tel.to_dict()
-        states = self._alerts.evaluate(snapshot["metrics"],
-                                       timeline=tel.timeline)
-        reply = {
+        states = self._alerts.evaluate(snapshot["metrics"])
+        return {
             "enabled": True,
             "telemetry": snapshot,
             "alerts": [state.to_dict() for state in states],
             "firing": self._alerts.firing(),
             "alerts_engine": self._alerts.to_dict(),
         }
-        if tel.timeline is not None:
-            reply["slos"] = [
-                status.to_dict()
-                for status in _slo.evaluate_slos(
-                    list(self._alerts.slos.values()), tel.timeline)
-            ]
-        return reply
 
 
 async def run_server(config: ServeConfig) -> PredictionServer:

@@ -201,9 +201,6 @@ class StatefulWorker:
             else:
                 if not item.future.cancelled():
                     item.future.set_result(result)
-        # Worker cadence keeps the timeline/flight attachments current
-        # even when the dispatch path is starved (both rate-limited).
-        _obs.pulse()
 
     async def _handle(self, item: WorkItem) -> Mapping[str, Any]:
         raise NotImplementedError

@@ -48,7 +48,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
 from repro.serve.client import ServiceClient
@@ -95,12 +94,6 @@ class SupervisorConfig:
     backoff_base: float = 0.2
     backoff_max: float = 5.0
     backoff_multiplier: float = 2.0
-    #: Flight-recorder directory: each child incarnation gets a spill
-    #: file here (exported as REPRO_FLIGHT_SPILL); after reaping a
-    #: crashed or wedged child the supervisor promotes the spill into a
-    #: durable ``flight-<n>-<reason>.json`` dump — the black box a
-    #: ``kill -9`` post-mortem reads (``repro obs flight inspect``).
-    flight_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.command:
@@ -128,11 +121,8 @@ class Supervisor:
     gave_up: bool = False
     child: Optional[subprocess.Popen] = field(default=None, repr=False)
     incarnation: int = 0
-    #: Flight dumps recovered from dead children (newest last).
-    flight_dumps: list = field(default_factory=list, repr=False)
     _stop: threading.Event = field(default_factory=threading.Event, repr=False)
     _crashes: deque = field(default_factory=deque, repr=False)
-    _spill: Optional[str] = field(default=None, repr=False)
 
     # -- probing --------------------------------------------------------------------
     def _probe(self) -> bool:
@@ -180,55 +170,11 @@ class Supervisor:
             env = dict(os.environ)
             env[_trace.ENV_VAR] = ctx.child().to_traceparent()
         self.incarnation += 1
-        if self.config.flight_dir is not None:
-            # One spill per incarnation: a restart must not overwrite the
-            # black box of the child we are about to post-mortem.
-            os.makedirs(self.config.flight_dir, exist_ok=True)
-            self._spill = os.path.join(
-                self.config.flight_dir, f"child-{self.incarnation}.spill")
-            if env is None:
-                env = dict(os.environ)
-            env[_flight.ENV_SPILL] = self._spill
         child = subprocess.Popen(list(self.config.command), env=env)
         self.child = child
         self._event("info", "supervisor_child_started", pid=child.pid,
                     incarnation=self.incarnation)
         return child
-
-    def _recover_flight(self, child: subprocess.Popen, reason: str) -> None:
-        """Promote the dead child's spill into a durable dump (best effort)."""
-        spill = self._spill
-        if spill is None or self.config.flight_dir is None:
-            return
-        if not os.path.exists(spill):
-            return
-        out = os.path.join(self.config.flight_dir,
-                           f"flight-{self.incarnation}-{reason}.json")
-        try:
-            _flight.recover_spill(
-                spill, out, reason=reason,
-                extra={"supervisor": {
-                    "pid": os.getpid(), "child_pid": child.pid,
-                    "returncode": child.returncode,
-                    "incarnation": self.incarnation,
-                }},
-            )
-        except (OSError, ValueError) as exc:
-            # Torn spill (child died mid-sync) or unwritable dir: note it,
-            # keep supervising — the restart matters more than forensics.
-            self._event("warning", "supervisor_flight_unreadable",
-                        spill=spill, error=str(exc))
-            return
-        self.flight_dumps.append(out)
-        self._event("info", "supervisor_flight_dumped", path=out,
-                    reason=reason, pid=child.pid)
-        tel = _obs.ACTIVE
-        if tel is not None:
-            tel.registry.counter(
-                "supervisor_flight_dumps_total",
-                help="flight recorder dumps recovered from dead children",
-                reason=reason,
-            ).inc()
 
     def _kill(self, child: subprocess.Popen, grace: float = 10.0) -> None:
         """SIGTERM (the child drains), then SIGKILL if it lingers."""
@@ -263,16 +209,11 @@ class Supervisor:
                 child.wait()
                 self._event("warning", "supervisor_child_wedged",
                             pid=child.pid, healthy_once=was_healthy)
-                self._recover_flight(child, "wedged")
             returncode = child.returncode
             if outcome == _EXITED and returncode == 0:
                 # Graceful drain (SIGTERM / drain verb): intentional.
                 self._event("info", "supervisor_child_drained", pid=child.pid)
                 return 0
-            if outcome == _EXITED:
-                # Crashed (or killed from outside): the spill is all the
-                # telemetry that child will ever surrender.
-                self._recover_flight(child, "crashed")
             now = time.monotonic()
             self._crashes.append(now)
             while self._crashes and now - self._crashes[0] > cfg.restart_window:

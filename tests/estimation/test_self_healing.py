@@ -152,15 +152,6 @@ def test_health_history_is_a_structured_event_log():
     assert all(e["action"] == "heal" for e in heals)
 
 
-def test_health_log_accessor_is_deprecated_but_equivalent():
-    import pytest as _pytest
-
-    maintainer, _records = run_scenario(with_faults=False)
-    with _pytest.deprecated_call():
-        legacy = maintainer.health_log
-    assert legacy == maintainer.health_records()
-
-
 def test_maintainer_journals_heal_cycles(tmp_path):
     """With a journal attached, every cycle is durably logged through the
     campaign's write-ahead layer."""

@@ -1,14 +1,11 @@
 """Unit tests for the declarative alert rules engine."""
 
+import json
+
 import pytest
 
 from repro.obs import runtime as _obs
-from repro.obs.insight.alerts import (
-    AlertEngine,
-    AlertRule,
-    default_rules,
-    heal_hook,
-)
+from repro.obs.insight.alerts import AlertEngine, AlertRule, default_rules
 from repro.obs.insight.detectors import ESCALATED_METRIC, TRANSFER_METRIC
 from repro.obs.insight.residuals import ResidualMonitor
 from repro.obs.metrics import MetricsRegistry
@@ -139,38 +136,61 @@ def test_engine_works_with_telemetry_off():
     assert engine.firing() == ["x_high"]
 
 
-class _FakeMaintainer:
-    def __init__(self):
-        self.cycles = 0
-
-    def cycle(self):
-        self.cycles += 1
-
-
-def test_heal_hook_runs_cycle_only_for_heal_rules():
-    maintainer = _FakeMaintainer()
-    hook = heal_hook(maintainer)
-    heal_rule = AlertRule(name="drift", kind="metric_value", metric="d",
-                          threshold=0.1, trigger_heal=True)
-    plain_rule = AlertRule(name="other", kind="metric_value", metric="d",
-                           threshold=0.1)
-    hook(plain_rule, 1.0)
-    assert maintainer.cycles == 0
-    hook(heal_rule, 1.0)
-    assert maintainer.cycles == 1
-
-
-def test_heal_hook_wired_through_engine_lifecycle():
-    maintainer = _FakeMaintainer()
-    rule = AlertRule(name="drift_high", kind="metric_value",
-                     metric="maintainer_worst_drift", threshold=0.15,
-                     trigger_heal=True)
-    engine = AlertEngine(rules=[rule], on_fire=heal_hook(maintainer))
+def test_metric_absent_rule_lifecycle():
+    rule = AlertRule(name="gone", kind="metric_absent",
+                     metric="service_requests_total",
+                     threshold=3.0, op=">=", level="error")
+    engine = AlertEngine(rules=[rule])
     reg = MetricsRegistry()
-    reg.gauge("maintainer_worst_drift").set(0.4)
+
+    # Never reported: never stale (campaign-only processes stay quiet).
+    for _ in range(5):
+        (state,) = engine.evaluate(reg.snapshot())
+        assert state.value == 0.0 and not state.firing
+
+    counter = reg.counter("service_requests_total", outcome="ok")
+    counter.inc()
+    (state,) = engine.evaluate(reg.snapshot())
+    assert state.value == 0.0
+
+    # Frozen total: the streak builds up and fires at 3.
+    for expected in (1.0, 2.0):
+        (state,) = engine.evaluate(reg.snapshot())
+        assert state.value == expected and not state.firing
+    (state,) = engine.evaluate(reg.snapshot())
+    assert state.value == 3.0 and state.firing
+
+    # New activity resets the streak and resolves.
+    counter.inc()
+    (state,) = engine.evaluate(reg.snapshot())
+    assert state.value == 0.0 and not state.firing
+
+
+def test_engine_state_round_trips_through_dict():
+    rules = [
+        AlertRule(name="x_high", kind="metric_value", metric="x", threshold=5.0),
+        AlertRule(name="x_absent", kind="metric_absent", metric="x",
+                  threshold=2.0, op=">="),
+    ]
+    engine = AlertEngine(rules=rules)
+    reg = MetricsRegistry()
+    reg.gauge("x").set(10)
     engine.evaluate(reg.snapshot())
-    engine.evaluate(reg.snapshot())  # still firing — one heal only
-    assert maintainer.cycles == 1
+    engine.evaluate(reg.snapshot())
+    assert engine.firing() == ["x_high"]  # mid-incident, one stale evaluation
+
+    doc = json.loads(json.dumps(engine.to_dict()))  # through JSON
+    fired = []
+    resumed = AlertEngine.from_dict(
+        doc, on_fire=lambda rule, value: fired.append(rule.name))
+    assert resumed.firing() == engine.firing()
+    assert [r.name for r in resumed.rules] == [r.name for r in engine.rules]
+
+    # Still firing on the next evaluation: no re-fire transition, and the
+    # staleness streak carries on from where it was.
+    states = resumed.evaluate(reg.snapshot())
+    assert fired == ["x_absent"]
+    assert [s.value for s in states] == [10.0, 2.0]
 
 
 def test_default_rules_catalog():
@@ -181,13 +201,9 @@ def test_default_rules_catalog():
                      "units_reclaimed_high",
                      "service_queue_depth_high", "service_p99_latency_high",
                      "service_crash_loop", "service_deadline_shed_high",
-                     "service_requests_absent",
-                     "slo_service_availability_burn_fast",
-                     "slo_service_availability_burn_slow"]
+                     "service_requests_absent"]
     assert len(set(names)) == len(names)
     assert all(r.description for r in rules)
-    heal = [r.name for r in rules if r.trigger_heal]
-    assert heal == ["model_drift_high"]
     # The stock set evaluates cleanly against an empty snapshot.
     states = AlertEngine().evaluate({})
     assert [s.firing for s in states] == [False] * len(rules)

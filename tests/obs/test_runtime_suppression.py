@@ -1,4 +1,4 @@
-"""Coverage for runtime.suppressed() re-entrancy and the health_log shim."""
+"""Coverage for runtime.suppressed() re-entrancy."""
 
 import pytest
 
@@ -67,18 +67,3 @@ def test_hooks_inside_suppressed_do_not_count():
             tel.registry.counter("t_total").inc()
     assert tel.registry.total("t_total") == 1
 
-
-def test_health_log_shim_on_a_fresh_maintainer():
-    """The deprecated accessor works (and warns) before any cycle ran."""
-    from repro.cluster import GroundTruth, SimulatedCluster, random_cluster
-    from repro.estimation import DESEngine
-    from repro.estimation.maintainer import ModelMaintainer
-
-    cluster = SimulatedCluster(
-        random_cluster(4, seed=1), ground_truth=GroundTruth.random(4, seed=1),
-        seed=2,
-    )
-    maintainer = ModelMaintainer(DESEngine(cluster))
-    with pytest.deprecated_call():
-        legacy = maintainer.health_log
-    assert legacy == maintainer.health_records() == []

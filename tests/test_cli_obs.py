@@ -342,107 +342,57 @@ def test_obs_dashboard_survives_truncated_bench_file(snapshot, tmp_path,
     assert "BENCH_good.json" in html  # the healthy file still renders
 
 
-# -- obs top ----------------------------------------------------------------------
-def test_obs_top_renders_operator_view(snapshot, capsys):
-    _journal, metrics = snapshot
-    assert main(["obs", "top", "--metrics", metrics, "--count", "2",
-                 "--interval", "0"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("repro model-fidelity observatory") == 2
-    # campaign snapshots carry no timeline section; top says so instead
-    # of pretending rates exist
-    assert "no timeline in this snapshot" in out
+# -- files written by servers that kept a timeline ------------------------------
+_OLD_TIMELINE = {
+    "format": "repro-timeline", "version": 1,
+    "tiers": [{"width": 1.0, "capacity": 120}, {"width": 10.0, "capacity": 120},
+              {"width": 60.0, "capacity": 180}],
+    "ticks": 2, "dropped": 0, "last_tick": 101.5,
+    "windows": [{"width": 1.0, "index": 101, "ticks": 1, "counters": [
+        {"name": "service_requests_total",
+         "labels": {"outcome": "ok", "verb": "predict"}, "value": 2.0}]}],
+}
+
+_OLD_SLO_STATUS = {
+    "slo": {"name": "service_availability", "objective": 0.999, "kind": "ratio",
+            "metric": "service_requests_total", "labels": {},
+            "good_labels": {"outcome": "ok"}, "bad_labels": {},
+            "threshold": 0.0, "description": "99.9% of requests succeed"},
+    "burn_fast": 0.0, "burn_slow": 0.0, "fast_window": 300.0,
+    "slow_window": 3600.0, "budget_window": 10800.0,
+    "budget_remaining": 1.0, "good": 5.0, "total": 5.0,
+}
 
 
-def test_obs_top_format_json_is_dashboard_data(snapshot, capsys):
-    _journal, metrics = snapshot
-    assert main(["obs", "top", "--metrics", metrics, "--count", "1",
-                 "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["title"] == "repro model-fidelity observatory"
-    assert "slos" in data and "timeline" in data
+def test_snapshots_with_timeline_and_replies_with_slos_still_read(tmp_path, capsys):
+    """Older ``repro serve`` processes put a ``timeline`` section in the
+    snapshot and ``slos`` in the ``obs`` reply; both are ignored."""
+    from repro.obs.metrics import MetricsRegistry
 
+    registry = MetricsRegistry()
+    registry.counter("service_requests_total", verb="predict", outcome="ok").inc(5)
+    trace_id = "a" * 32
+    snapshot = {
+        "format": "repro-telemetry", "version": 1,
+        "metrics": registry.snapshot(),
+        "spans": [_span("serve.request", 0.1, 0.2, trace_id)],
+        "spans_epoch_unix": 100.0, "events": [],
+        "dropped": {"spans": 0, "events": 0},
+        "timeline": _OLD_TIMELINE,
+    }
+    metrics = str(tmp_path / "snap.json")
+    json.dump(snapshot, open(metrics, "w"))
+    reply = str(tmp_path / "reply.json")
+    json.dump({"enabled": True, "telemetry": snapshot, "alerts": [],
+               "firing": [], "slos": [_OLD_SLO_STATUS]}, open(reply, "w"))
 
-# -- obs flight -------------------------------------------------------------------
-def _write_spill(tmp_path):
-    """A real recorder spill with one traced serve.request span."""
-    import random as _random
-
-    from repro.obs import trace as _tracectx
-    from repro.obs.flight import FlightRecorder
-
-    tel = _obs.enable(fresh=True)
-    ctx = _tracectx.new_context(_random.Random(5))
-    token = _tracectx.activate(ctx)
-    with _obs.span("serve.request", verb="predict"):
-        pass
-    _tracectx.restore(token)
-    spill = str(tmp_path / "child-1.spill")
-    recorder = FlightRecorder(tel, process="serve", spill_path=spill,
-                              sync_interval=0.0)
-    recorder.sync()
-    recorder.close()
-    _obs.disable()
-    return spill, ctx.trace_id
-
-
-def test_obs_flight_dump_inspect_stitch_round_trip(tmp_path, capsys):
-    spill, trace_id = _write_spill(tmp_path)
-    dump = str(tmp_path / "flight.json")
-
-    assert main(["obs", "flight", "dump", "--spill", spill,
-                 "--out", dump, "--reason", "crashed"]) == 0
-    assert f"flight dump written to {dump}" in capsys.readouterr().out
-
-    assert main(["obs", "flight", "inspect", dump]) == 0
-    text = capsys.readouterr().out
-    assert "process=serve" in text
-    assert "serve.request" in text
-    assert trace_id in text
-    assert "crashed" in text
-
-    assert main(["obs", "flight", "inspect", dump, "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["reason"] == "crashed"
-
-    # spills inspect directly too (no recovery step needed to peek)
-    assert main(["obs", "flight", "inspect", spill]) == 0
-    assert "serve.request" in capsys.readouterr().out
-
-    assert main(["obs", "flight", "stitch", "--in", f"serve={dump}",
+    assert main(["obs", "report", "--metrics", metrics]) == 0
+    assert "service_requests_total" in capsys.readouterr().out
+    out = str(tmp_path / "dash.html")
+    assert main(["obs", "dashboard", "--metrics", metrics, "--out", out]) == 0
+    assert "repro model-fidelity observatory" in capsys.readouterr().out
+    assert main(["obs", "watch", "--metrics", metrics, "--count", "1"]) == 0
+    assert "repro model-fidelity observatory" in capsys.readouterr().out
+    assert main(["obs", "trace", "stitch", "--in", f"server={reply}",
                  "--list"]) == 0
     assert trace_id in capsys.readouterr().out
-    out = str(tmp_path / "stitched.json")
-    assert main(["obs", "flight", "stitch", "--in", f"serve={dump}",
-                 "--trace-id", trace_id, "--out", out]) == 0
-    capsys.readouterr()
-    doc = json.load(open(out))
-    names = {e["name"] for e in doc["traceEvents"]}
-    assert "serve.request" in names
-
-
-def test_obs_flight_dump_default_out_path(tmp_path, capsys):
-    spill, _trace_id = _write_spill(tmp_path)
-    assert main(["obs", "flight", "dump", "--spill", spill]) == 0
-    expected = spill[: -len(".spill")] + ".json"
-    assert f"written to {expected}" in capsys.readouterr().out
-    assert json.load(open(expected))["format"] == "repro-flight-dump"
-
-
-def test_obs_flight_error_paths(tmp_path, capsys):
-    assert main(["obs", "flight", "inspect",
-                 str(tmp_path / "absent.json")]) == 2
-    assert "cannot read flight recording" in capsys.readouterr().err
-
-    assert main(["obs", "flight", "dump", "--spill",
-                 str(tmp_path / "absent.spill")]) == 2
-    assert "cannot recover spill" in capsys.readouterr().err
-
-    assert main(["obs", "flight", "stitch"]) == 2
-    assert "nothing to stitch" in capsys.readouterr().err
-
-    not_a_dump = tmp_path / "model.json"
-    not_a_dump.write_text('{"nope": 1}')
-    assert main(["obs", "flight", "stitch", "--in",
-                 f"x={not_a_dump}"]) == 2
-    assert "cannot read flight dump" in capsys.readouterr().err

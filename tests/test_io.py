@@ -1,14 +1,12 @@
 """Tests for model serialization (round trips for every type)."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import GroundTruth
-from repro.io import FORMAT_VERSION, SCHEMA_VERSION, dumps, load, loads, save
+from repro.io import SCHEMA_VERSION, dumps, load, loads, save
 from repro.models import (
     ExtendedLMOModel,
     GatherIrregularity,
@@ -94,13 +92,12 @@ def test_file_save_load(tmp_path):
 
 
 def test_envelope_validation():
-    with pytest.raises(ValueError, match="not a repro-model"):
-        loads('{"format": "other", "version": 1, "payload": {}}')
-    with pytest.raises(ValueError, match="version"):
-        loads('{"format": "repro-model", "version": 999, "payload": {}}')
-    with pytest.raises(ValueError, match="unknown document"):
-        loads('{"format": "repro-model", "version": %d, "payload": {"type": "X"}}'
-              % FORMAT_VERSION)
+    v1_hockney = (
+        '{"format": "repro-model", "version": 1, "payload": '
+        '{"type": "HockneyModel", "alpha": 0.0001, "beta": 8e-08, "n": 8}}'
+    )
+    with pytest.raises(ValueError, match="not a schema-v2 repro-model document"):
+        loads(v1_hockney)
 
 
 def test_unserializable_type_rejected():
@@ -145,41 +142,6 @@ def test_all_six_models_roundtrip_v2():
         back = roundtrip(model)
         assert type(back) is type(model)
         assert back.p2p_time(0, 1, KB) == pytest.approx(model.p2p_time(0, 1, KB))
-
-
-def test_legacy_v1_loads_with_deprecation_warning():
-    from repro.api.compat import reset_legacy_warnings
-
-    reset_legacy_warnings()
-    legacy = (
-        '{"format": "repro-model", "version": 1, "payload": '
-        '{"type": "HockneyModel", "alpha": 0.0001, "beta": 8e-08, "n": 8}}'
-    )
-    with pytest.warns(DeprecationWarning, match="legacy"):
-        model = loads(legacy)
-    assert model == HockneyModel(alpha=1e-4, beta=8e-8, n=8)
-    # Consolidated: the second legacy touch in the same process is silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert loads(legacy) == model
-
-
-def test_legacy_v1_matrix_payload_loads():
-    from repro.api.compat import reset_legacy_warnings
-
-    reset_legacy_warnings()
-    legacy = (
-        '{"format": "repro-model", "version": 1, "payload": '
-        '{"type": "GroundTruth",'
-        ' "C": [1e-05, 2e-05], "t": [1e-09, 2e-09],'
-        ' "L": [[0.0, 3e-05], [3e-05, 0.0]],'
-        ' "beta": [["inf", 10000000.0], [10000000.0, "inf"]]}}'
-    )
-    with pytest.warns(DeprecationWarning):
-        gt = loads(legacy)
-    assert isinstance(gt, GroundTruth)
-    assert np.isinf(gt.beta[0, 0])
-    assert gt.beta[0, 1] == 1e7
 
 
 @settings(max_examples=20, deadline=None)
