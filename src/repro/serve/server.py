@@ -71,6 +71,17 @@ from repro.serve.service import (
 
 __all__ = ["ModelRegistry", "PredictionServer", "ServeConfig", "run_server", "serve"]
 
+#: GIL switch interval of a ``repro serve`` process, in seconds.  The
+#: event loop shares the GIL with the estimation thread, and a predict
+#: that wakes the loop mid-estimate waits up to one interval for it
+#: twice: on arrival and at the end of the batch window.  At CPython's
+#: 5 ms default, predicts beside an estimate fell into latency modes
+#: 5 ms apart whose weights shift with the threads' CPU placement, so
+#: their p75 jumped between ~14.5 and ~19 ms from run to run on a 2-vCPU
+#: VM.  At 1 ms the modes merge (p75 ~6-8 ms there), and estimate
+#: throughput stays within its run-to-run spread.
+SWITCH_INTERVAL_S = 0.001
+
 
 @dataclass
 class ServeConfig:
