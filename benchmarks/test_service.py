@@ -2,8 +2,9 @@
 
 Boots the daemon in-process (:class:`repro.serve.ServerThread` — a real
 socket listener with real framing) and drives it at 1, 8 and 64
-concurrent clients, measuring per-request wall latency and aggregate
-throughput.  Three things are asserted, not just reported:
+concurrent closed-loop clients, at least 1,000 requests per level (so
+p99 has ten samples beyond it), measuring per-request wall latency and
+aggregate throughput.  Three things are asserted, not just reported:
 
 1. **Identity, always**: every wire reply is bit-identical to the
    in-process ``api.predict`` answer for the same request — the batch
@@ -21,6 +22,7 @@ Results land in ``BENCH_service.json`` at the repo root::
 """
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +37,9 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 KB = 1024
 CONCURRENCY_LEVELS = (1, 8, 64)
-REQUESTS_PER_CLIENT = 8
+#: Requests per level, split evenly across its clients (rounded up:
+#: 1,000, 125 each at 8, 16 each at 64).
+REQUESTS_PER_LEVEL = 1000
 MIN_SEQUENTIAL_RPS = 20.0  # absolute floor; a healthy box does hundreds
 MAX_P99_SECONDS = 2.0      # per-request, even at 64 concurrent clients
 
@@ -61,10 +65,10 @@ def drive_level(host, clients):
     """One load level: per-request latencies, wall time, and replies."""
     latencies = []
     replies = []
+    per_client = math.ceil(REQUESTS_PER_LEVEL / clients)
 
     def one_client(client_index):
-        cases = make_cases(REQUESTS_PER_CLIENT,
-                           offset=client_index * REQUESTS_PER_CLIENT)
+        cases = make_cases(per_client, offset=client_index * per_client)
         out = []
         with host.client() as client:
             for case in cases:
@@ -109,6 +113,7 @@ def test_service_latency_throughput_and_identity():
                 )
             levels[str(clients)] = {
                 "clients": clients,
+                "requests_per_client": len(latencies) // clients,
                 "requests": len(latencies),
                 "p50_ms": percentile(latencies, 0.50) * 1e3,
                 "p99_ms": percentile(latencies, 0.99) * 1e3,
@@ -118,7 +123,7 @@ def test_service_latency_throughput_and_identity():
     doc = {
         "benchmark": "prediction service load",
         "cpus": os.cpu_count() or 1,
-        "requests_per_client": REQUESTS_PER_CLIENT,
+        "requests_per_level": REQUESTS_PER_LEVEL,
         "levels": levels,
         "identity": True,
     }
@@ -126,8 +131,8 @@ def test_service_latency_throughput_and_identity():
     print(f"\nservice bench -> {RESULT_PATH}")
     for clients in CONCURRENCY_LEVELS:
         row = levels[str(clients)]
-        print(f"  {clients:>2} clients: p50 {row['p50_ms']:7.2f} ms, "
-              f"p99 {row['p99_ms']:7.2f} ms, "
+        print(f"  {clients:>2} clients, n={row['requests']}: "
+              f"p50 {row['p50_ms']:7.2f} ms, p99 {row['p99_ms']:7.2f} ms, "
               f"{row['throughput_rps']:8.1f} req/s")
 
     # The gates (self-contained: nothing here depends on a past run).

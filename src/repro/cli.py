@@ -632,7 +632,6 @@ def cmd_serve(args) -> int:
     import asyncio
 
     from repro.serve import PredictionServer, ServeConfig
-    from repro.serve.server import SWITCH_INTERVAL_S
 
     models = {}
     for spec_str in args.model or []:
@@ -664,9 +663,6 @@ def cmd_serve(args) -> int:
             await server.drain()
             raise
 
-    # The daemon owns its interpreter: shorten the GIL hand-off between
-    # the event loop and the estimation thread.
-    sys.setswitchinterval(SWITCH_INTERVAL_S)
     try:
         asyncio.run(_run())
     except (ValueError, OSError) as exc:

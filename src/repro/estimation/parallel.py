@@ -84,6 +84,7 @@ from repro.estimation.journal import (
 from repro.io import atomic_write_text
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
+from repro.pools import exit_with_parent, kill_workers
 
 __all__ = [
     "AnalyticEngineRecipe",
@@ -308,6 +309,7 @@ _WORKER: Optional[_Worker] = None
 
 
 def _init_worker(
+    parent_pid: int,
     recipe: EngineRecipe,
     path: str,
     header: dict[str, Any],
@@ -322,8 +324,10 @@ def _init_worker(
     worker's own write-ahead journal and a worker-local breaker board.
     Telemetry is disabled in the worker: the coordinator owns the
     campaign's metrics, and the worker journals are the durable truth.
+    The worker exits when the coordinator (``parent_pid``) dies.
     """
     global _WORKER
+    exit_with_parent(parent_pid)
     _obs.disable()
     with next_id.get_lock():
         worker_id = int(next_id.value)
@@ -381,12 +385,6 @@ def _run_group(indices: list[int]) -> tuple[int, list[_UnitResult]]:
             "wall_cost": state.wall_time - before[2],
         }))
     return worker.worker_id, results
-
-
-def _kill_workers(pool: Any) -> None:
-    """SIGKILL every worker of ``pool``; the executor then breaks itself."""
-    for process in list((pool._processes or {}).values()):
-        process.kill()
 
 
 # -- merge -----------------------------------------------------------------------
@@ -763,7 +761,7 @@ class ParallelCampaign:
                 max_workers=min(self.parallel.workers, len(self.pending)),
                 mp_context=ctx,
                 initializer=_init_worker,
-                initargs=(self.recipe, self.path, self.header,
+                initargs=(os.getpid(), self.recipe, self.path, self.header,
                           self.config.to_dict(), next_id,
                           self.parallel.chaos_kills),
             )
@@ -773,7 +771,7 @@ class ParallelCampaign:
                 graceful = outcome not in _POOL_FAILURES
             finally:
                 if not graceful:
-                    _kill_workers(pool)
+                    kill_workers(pool)
                 pool.shutdown(wait=True, cancel_futures=True)
                 self._count("parallel_workers_spawned_total",
                             "worker processes started",

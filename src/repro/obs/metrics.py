@@ -285,6 +285,34 @@ class MetricsRegistry:
             out[name] = {"type": family.kind, "help": family.help, "samples": samples}
         return out
 
+    def merge(self, snapshot: Mapping[str, Any]) -> None:
+        """Add another registry's counters and histograms (its
+        :meth:`snapshot`, e.g. from a worker process) into this one.
+
+        Gauges are skipped: a level measured in another process is not
+        a level of this one.  A histogram keeps the other registry's
+        log2 bucket range, which must match this registry's family of
+        the same name.
+        """
+        for name, family in snapshot.items():
+            kind, help_text = family["type"], family.get("help", "")
+            for sample in family["samples"]:
+                labels = sample.get("labels", {})
+                if kind == "counter":
+                    self.counter(name, help_text, **labels).inc(float(sample["value"]))
+                elif kind == "histogram":
+                    buckets = sample["buckets"]
+                    child = self.histogram(
+                        name, help_text, lo=round(math.log2(buckets[0][0])),
+                        hi=round(math.log2(buckets[-2][0])), **labels,
+                    )
+                    if len(child.bucket_counts) != len(buckets):
+                        raise ValueError(f"histogram {name!r}: bucket ranges differ")
+                    for index, (_bound, count) in enumerate(buckets):
+                        child.bucket_counts[index] += int(count)
+                    child.sum += float(sample["sum"])
+                    child.count += int(sample["count"])
+
     def reset(self) -> None:
         """Drop every family (fresh registry semantics, same object)."""
         with self._lock:

@@ -155,6 +155,31 @@ class SpanRecorder:
         """The innermost open span in this context (None outside any)."""
         return _CURRENT_SPAN.get()
 
+    def adopt(self, docs: list[dict[str, Any]], epoch_unix: float,
+              parent: Optional[Span] = None) -> None:
+        """Record spans another recorder finished (e.g. in a worker
+        process) as finished spans of this one.
+
+        ``docs`` are that recorder's :meth:`to_dicts` and ``epoch_unix``
+        its :attr:`epoch_unix`: times move onto this recorder's clock,
+        span ids are re-issued from this recorder's sequence, and spans
+        whose parent is not among ``docs`` hang under ``parent``.
+        """
+        shift = epoch_unix - self.epoch_unix
+        ids: dict[Any, int] = {}
+        for doc in docs:
+            ids[doc["span_id"]] = self._next_id
+            self._next_id += 1
+        root = None if parent is None else parent.span_id
+        for doc in docs:
+            span = Span.from_dict(doc)
+            span.start += shift
+            if span.end is not None:
+                span.end += shift
+            span.span_id = ids[doc["span_id"]]
+            span.parent_id = ids.get(doc.get("parent_id"), root)
+            self._finish(span)
+
     def _finish(self, span: Span) -> None:
         if len(self._finished) == self._finished.maxlen:
             self.dropped += 1

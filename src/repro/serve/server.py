@@ -10,7 +10,8 @@ onto the stateful workers of :mod:`repro.serve.service`:
   same queue, where concurrent ``predict`` calls coalesce into one
   vectorized evaluation;
 * ``estimate`` goes to the single :class:`EstimateWorker` (bounded to a
-  few queued estimations; estimation runs in a thread);
+  few queued estimations; estimation runs in a child process at a
+  lower CPU priority, and the model is registered here);
 * ``health`` / ``obs`` / ``drain`` are answered inline by the server.
 
 Backpressure is explicit: a full worker queue rejects the request with
@@ -70,17 +71,6 @@ from repro.serve.service import (
 )
 
 __all__ = ["ModelRegistry", "PredictionServer", "ServeConfig", "run_server", "serve"]
-
-#: GIL switch interval of a ``repro serve`` process, in seconds.  The
-#: event loop shares the GIL with the estimation thread, and a predict
-#: that wakes the loop mid-estimate waits up to one interval for it
-#: twice: on arrival and at the end of the batch window.  At CPython's
-#: 5 ms default, predicts beside an estimate fell into latency modes
-#: 5 ms apart whose weights shift with the threads' CPU placement, so
-#: their p75 jumped between ~14.5 and ~19 ms from run to run on a 2-vCPU
-#: VM.  At 1 ms the modes merge (p75 ~6-8 ms there), and estimate
-#: throughput stays within its run-to-run spread.
-SWITCH_INTERVAL_S = 0.001
 
 
 @dataclass
@@ -289,8 +279,6 @@ class PredictionServer:
         self._estimator = EstimateWorker(
             "estimate", self.registry, self.config.estimate_queue_limit
         )
-        for worker in self._all_workers():
-            worker.start()
         if self.config.unix_path is not None:
             if os.path.exists(self.config.unix_path):
                 os.unlink(self.config.unix_path)  # stale socket from a crash
@@ -303,6 +291,9 @@ class PredictionServer:
                 self._on_connection, self.config.host, self.config.port,
                 limit=protocol.MAX_LINE_BYTES,
             )
+        # After the bind: a port that is taken starts no estimation process.
+        for worker in self._all_workers():
+            worker.start()
         self._install_signal_handlers()
         self._started_at = time.monotonic()
         self.state = RUNNING
@@ -380,8 +371,9 @@ class PredictionServer:
         """Hard-stop for abnormal exit paths: no drain, no new answers.
 
         Closes the listener and every connection, cancels the worker
-        tasks, and — crucially — unlinks the Unix socket so the *next*
-        startup does not trip over a stale path.  Queued futures are
+        tasks, kills the estimation process, and — crucially — unlinks
+        the Unix socket so the *next* startup does not trip over a
+        stale path.  Queued futures are
         cancelled, not answered; anything durable (the registry
         snapshot) is already on disk.  Idempotent, and safe to call on a
         half-started server.
@@ -395,12 +387,7 @@ class PredictionServer:
         if self._server is not None:
             self._server.close()
         for worker in self._all_workers():
-            task = worker._task
-            if task is not None and not task.done():
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError, Exception):
-                    await task
-            worker.state = STOPPED
+            await worker.abort()
         for writer in list(self._connections):
             writer.close()
         self._remove_signal_handlers()

@@ -21,15 +21,19 @@ Two worker types:
   not hoped for.  The server shards these workers by model fingerprint,
   so one model's requests always meet in the same queue and coalesce.
 * :class:`EstimateWorker` — expensive simulation-driven estimation,
-  pushed off the event loop with ``asyncio.to_thread`` so a running
-  estimation never blocks predict traffic.  Estimated models are
-  registered into the server's model registry under
-  ``params.register_as`` (default ``<model>-<n>``).
+  run in one long-lived child process (see :class:`EstimateWorker`),
+  so a running estimation shares neither the event loop's GIL nor, at
+  its lowered priority, a contended CPU with predict traffic.
+  Estimated models are registered into the server's model registry
+  under ``params.register_as`` (default ``<model>-<n>``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
+import signal
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -37,15 +41,19 @@ from typing import Any, Mapping, Optional
 
 from repro import api
 from repro.api import schema
-from repro.api.errors import DeadlineExceeded, InvalidRequest, Overloaded
+from repro.api.errors import DeadlineExceeded, InternalError, InvalidRequest, Overloaded
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
+from repro.pools import exit_with_parent, kill_workers
 from repro.predict_service import PredictRequest, model_fingerprint
 from repro.serve.protocol import Request
 
 __all__ = [
     "CREATED",
     "DRAINING",
+    "ESTIMATE_NICE",
+    "ESTIMATE_PROCESSES",
+    "ESTIMATE_START_METHOD",
     "RUNNING",
     "STOPPED",
     "EstimateWorker",
@@ -62,6 +70,15 @@ STOPPED = "stopped"
 
 #: Queue sentinel: drain marker, always the last item a worker sees.
 _STOP = object()
+
+#: Estimation processes: one, so estimates run one at a time.
+ESTIMATE_PROCESSES = 1
+#: Start method of the estimation process (see :class:`EstimateWorker`).
+ESTIMATE_START_METHOD = "spawn"
+#: ``os.nice`` increment of the estimation process.  Predicts are
+#: interactive and estimates are batch work, so on a contended CPU the
+#: event loop runs first.
+ESTIMATE_NICE = 10
 
 
 @dataclass
@@ -166,6 +183,15 @@ class StatefulWorker:
         await self.queue.put(_STOP)  # FIFO: lands behind all accepted work
         if self._task is not None:
             await self._task
+        self.state = STOPPED
+
+    async def abort(self) -> None:
+        """Hard stop: cancel the task; queued futures stay unanswered."""
+        task = self._task
+        if task is not None and not task.done():
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError, Exception):
+                await task
         self.state = STOPPED
 
     # -- processing ---------------------------------------------------------------
@@ -359,18 +385,70 @@ class PredictWorker(StatefulWorker):
 
 
 class EstimateWorker(StatefulWorker):
-    """Serialized estimation off the event loop, results registered."""
+    """Serialized estimation in a child process, results registered here.
+
+    The child is the single worker of a ``spawn``
+    :class:`~concurrent.futures.ProcessPoolExecutor`, started (and sent
+    a no-op, so its imports run while the server is idle) by
+    :meth:`start`.  Spawn rather than fork: by the first estimate the
+    server has threads (the asyncio default executor, the pool's
+    manager thread, an embedding host's threads).  The child lowers its
+    own priority by :data:`ESTIMATE_NICE` and exits when the server
+    process dies, ``SIGKILL`` included.  Registration and the registry
+    snapshot stay in the server, before the reply.  A child that dies
+    fails only the estimate it was running; the next one runs in a
+    fresh child.
+    """
 
     def __init__(self, name: str, registry: Any, queue_limit: int = 4) -> None:
         super().__init__(name, queue_limit)
         self.registry = registry
+        self._pool: Any = None
+
+    def start(self) -> None:
+        super().start()
+        self._pool = _estimation_pool()
+
+    @property
+    def pids(self) -> list[int]:
+        """Process ids of the live estimation process (none before start
+        or after shutdown)."""
+        processes = getattr(self._pool, "_processes", None) or {}
+        return sorted(processes)
+
+    async def drain(self) -> None:
+        """Answer every accepted estimate, then stop the child.
+
+        The child is idle by then and holds nothing durable (the server
+        registers and snapshots), so it is killed rather than left to
+        finish its start-up imports and interpreter teardown; the pool
+        reaps it off the event loop.
+        """
+        await super().drain()
+        await asyncio.to_thread(self._kill_child)
+
+    async def abort(self) -> None:
+        """Hard stop, killing the child mid-estimate if need be."""
+        await super().abort()
+        self._kill_child()
+
+    def _kill_child(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            kill_workers(pool)
+            pool.shutdown(cancel_futures=True)  # reaps the killed child
 
     async def _handle(self, item: WorkItem) -> Mapping[str, Any]:
         params = schema.EstimateParams.from_dict(item.request.params)
-        outcome = await asyncio.to_thread(self._estimate, params)
+        tel = _obs.ACTIVE
+        outcome, telemetry = await self._in_child(params, item.trace,
+                                                  tel is not None)
+        if tel is not None and telemetry is not None:
+            tel.spans.adopt(telemetry["spans"], telemetry["spans_epoch_unix"],
+                            parent=tel.spans.current())
+            tel.registry.merge(telemetry["metrics"])
         name = params.register_as or f"{params.model}-{outcome.n}"
         self.registry.register(name, outcome.model)
-        tel = _obs.ACTIVE
         if tel is not None:
             # ``name`` is the event name's positional slot on EventLog —
             # the registry name must ride under a different key.
@@ -378,12 +456,98 @@ class EstimateWorker(StatefulWorker):
                             model=params.model, n=outcome.n)
         return {**outcome.to_dict(), "registered_as": name}
 
-    @staticmethod
-    def _estimate(params: schema.EstimateParams) -> schema.EstimateOutcome:
-        cluster = api.load_cluster(
-            nodes=params.nodes, profile=params.profile, seed=params.seed
-        )
-        return api.estimate(
-            cluster, model=params.model, reps=params.reps,
-            quick=params.quick, empirical=params.empirical,
-        )
+    async def _in_child(
+        self, params: schema.EstimateParams,
+        trace: Optional[_trace.TraceContext], telemetry: bool,
+    ) -> tuple[schema.EstimateOutcome, Optional[dict]]:
+        """:func:`_estimate_in_process` in the child, awaited off the loop."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not all(p.is_alive() for p in self._pool._processes.values()):
+            # Died between estimates (seen before the pool's manager
+            # thread may have noticed): this estimate loses nothing.
+            self._restart()
+        future = self._pool.submit(_estimate_in_process, params, trace, telemetry)
+        try:
+            return await asyncio.wrap_future(future)
+        except BrokenProcessPool as exc:
+            self._restart()
+            raise InternalError(
+                "the estimation process died mid-estimate; the next "
+                "estimate runs in a fresh one"
+            ) from exc
+
+    def _restart(self) -> None:
+        broken, self._pool = self._pool, _estimation_pool()
+        broken.shutdown(wait=False)
+        tel = _obs.ACTIVE
+        if tel is not None:
+            tel.events.error("service_estimation_process_died", worker=self.name)
+
+
+def _estimation_pool() -> Any:
+    """The estimation pool, already sent a no-op so the child imports
+    while the server idles."""
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=ESTIMATE_PROCESSES,
+        mp_context=multiprocessing.get_context(ESTIMATE_START_METHOD),
+        initializer=_init_estimation_process, initargs=(os.getpid(),),
+    )
+    # A child that dies while warming breaks the pool; the next submit
+    # reports it, so the warm-up's own outcome is read and dropped.
+    pool.submit(_ready).add_done_callback(
+        lambda ready: ready.cancelled() or ready.exception())
+    return pool
+
+
+def _init_estimation_process(parent_pid: int) -> None:
+    """Pool initializer: exit with the server, leave Ctrl-C in its
+    terminal to the server, and yield the CPU to it."""
+    exit_with_parent(parent_pid)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if hasattr(os, "nice"):
+        os.nice(ESTIMATE_NICE)
+
+
+def _ready() -> None:
+    """The warm-up task: returning proves the child is up."""
+
+
+def _estimate_in_process(
+    params: schema.EstimateParams,
+    trace: Optional[_trace.TraceContext],
+    telemetry: bool,
+) -> tuple[schema.EstimateOutcome, Optional[dict]]:
+    """One estimate, run in the estimation process.
+
+    With ``telemetry`` it runs in a fresh telemetry session under the
+    request's trace context, and returns that session's finished spans
+    and metrics beside the outcome; the server adopts the spans and
+    adds the metrics.
+    """
+    if not telemetry:
+        return _estimate(params), None
+    tel = _obs.enable(fresh=True)
+    try:
+        with _trace.use(trace):
+            outcome = _estimate(params)
+        return outcome, {
+            "spans": tel.spans.to_dicts(),
+            "spans_epoch_unix": tel.spans.epoch_unix,
+            "metrics": tel.registry.snapshot(),
+        }
+    finally:
+        _obs.disable()
+
+
+def _estimate(params: schema.EstimateParams) -> schema.EstimateOutcome:
+    cluster = api.load_cluster(
+        nodes=params.nodes, profile=params.profile, seed=params.seed
+    )
+    return api.estimate(
+        cluster, model=params.model, reps=params.reps,
+        quick=params.quick, empirical=params.empirical,
+    )

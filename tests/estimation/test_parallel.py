@@ -42,6 +42,8 @@ from repro.estimation.journal import replay
 from repro.estimation.parallel import coordinator_path
 from repro.obs import runtime as _obs
 
+from tests.procs import children, needs_proc, wait_gone
+
 pytestmark = pytest.mark.campaign
 
 CONFIG = CampaignConfig(seed=11, timeout=5.0)
@@ -491,6 +493,31 @@ def test_importing_the_api_leaves_the_process_pool_unloaded():
     )
     assert out.stdout.strip() == "False"
 
+
+
+@needs_proc
+def test_workers_exit_when_the_coordinator_is_killed(tmp_path):
+    """A ``kill -9`` of the coordinator must not leave its pool workers
+    idle forever: each one exits once its parent is gone."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "campaign", "run",
+         "--journal", str(tmp_path / "c.jsonl"), "--out", str(tmp_path / "c.json"),
+         "--nodes", "16", "--workers", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+    ) as coordinator:
+        try:
+            deadline = time.monotonic() + 120
+            while len(children(coordinator.pid)) < 2:
+                assert coordinator.poll() is None, "the campaign ended first"
+                assert time.monotonic() < deadline, "no worker pool appeared"
+                time.sleep(0.05)
+            workers = children(coordinator.pid)
+        finally:
+            coordinator.kill()
+            coordinator.wait(timeout=30)
+    assert wait_gone(workers, timeout=5.0) == []
 
 # -- property: determinism under random schedules, fleets and kill points --------
 @settings(max_examples=5, deadline=None)

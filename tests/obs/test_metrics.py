@@ -244,3 +244,26 @@ def test_reset_drops_all_families():
     reg.reset()
     assert reg.families() == []
     assert reg.total("a_total") == 0
+
+
+def test_merge_adds_counters_and_histograms_and_skips_gauges():
+    worker = MetricsRegistry()
+    worker.counter("events_total", help="h", kind="a").inc(3)
+    worker.gauge("depth").set(7)
+    worker.histogram("sizes", lo=0, hi=4).observe(3.0)
+    worker.histogram("sizes", lo=0, hi=4).observe(100.0)
+    home = MetricsRegistry()
+    home.counter("events_total", help="h", kind="a").inc(2)
+    home.histogram("sizes", lo=0, hi=4).observe(1.0)
+
+    home.merge(json.loads(json.dumps(worker.snapshot())))
+    assert home.value("events_total", kind="a") == 5
+    assert "depth" not in home.families()
+    sizes = home.histogram("sizes", lo=0, hi=4)
+    assert sizes.count == 3 and sizes.sum == 104.0
+    assert sizes.bucket_counts == [1, 0, 1, 0, 0, 1]
+
+    narrow = MetricsRegistry()
+    narrow.histogram("sizes", lo=0, hi=1).observe(1.0)
+    with pytest.raises(ValueError):
+        home.merge(narrow.snapshot())

@@ -105,6 +105,23 @@ def test_span_dict_roundtrip():
     assert clone.end == pytest.approx(span.end)
 
 
+
+def test_adopt_moves_foreign_spans_onto_this_clock_and_under_a_parent():
+    worker = SpanRecorder()
+    with worker.span("job"):
+        with worker.span("step"):
+            pass
+    home = SpanRecorder()
+    home.epoch_unix = worker.epoch_unix - 10.0  # home's clock started 10 s earlier
+    with home.span("request") as request:
+        home.adopt(worker.to_dicts(), worker.epoch_unix, parent=request)
+    step, job, _ = home.finished()
+    assert (step.name, job.name) == ("step", "job")
+    assert job.parent_id == request.span_id and step.parent_id == job.span_id
+    assert len({request.span_id, job.span_id, step.span_id}) == 3
+    assert job.start == pytest.approx(worker.finished("job")[0].start + 10.0)
+    assert step.end == pytest.approx(worker.finished("step")[0].end + 10.0)
+
 def test_runtime_span_is_noop_when_disabled():
     assert _obs.ACTIVE is None
     ctx = _obs.span("anything", k=1)

@@ -6,7 +6,6 @@ plus raw SIGHUP/SIGTERM, and checks the full lifecycle the deployment
 docs promise: bind, answer, reload without dropping, drain, exit 0.
 """
 
-import asyncio
 import json
 import os
 import signal
@@ -18,7 +17,6 @@ import pytest
 
 from repro import api
 from repro.cli import main
-from repro.serve.server import SWITCH_INTERVAL_S
 
 from tests.serve.conftest import KB, make_model
 
@@ -114,20 +112,3 @@ def test_serve_rejects_bad_model_spec(capsys):
     assert main(["serve", "--model", "justaname"]) == 2
     assert "NAME=PATH" in capsys.readouterr().err
 
-
-def test_serve_shortens_the_gil_switch_interval(model_file, monkeypatch):
-    # The daemon's event loop shares the GIL with the estimation thread;
-    # the loop must be running under the shorter switch interval.
-    seen = []
-
-    def fake_run(coro):
-        seen.append(sys.getswitchinterval())
-        coro.close()
-
-    monkeypatch.setattr(asyncio, "run", fake_run)
-    before = sys.getswitchinterval()
-    try:
-        assert main(["serve", "--port", "0", "--model", f"lmo={model_file}"]) == 0
-    finally:
-        sys.setswitchinterval(before)
-    assert seen == [pytest.approx(SWITCH_INTERVAL_S)]

@@ -163,7 +163,8 @@ def test_registry_snapshot_is_written_before_ack(tmp_path):
     snapshot = str(tmp_path / "registry.json")
     registry = ModelRegistry(snapshot_path=snapshot)
     registry.register("m1", make_model())
-    on_disk = json.loads(open(snapshot).read())
+    with open(snapshot) as handle:
+        on_disk = json.load(handle)
     assert "m1" in on_disk["models"]
 
 

@@ -19,6 +19,7 @@ from repro.serve.supervisor import (
     resolve_port,
 )
 
+from tests.procs import children, needs_proc, wait_gone
 from tests.serve.conftest import KB, make_model
 
 pytestmark = pytest.mark.resilience
@@ -109,11 +110,13 @@ def model_file(tmp_path):
     return str(path)
 
 
+@needs_proc
 def test_kill9_recovery_restores_registered_models(model_file, tmp_path,
                                                    monkeypatch):
     """The tentpole invariant, end to end: register a model, kill -9
     the serving child, and the restarted child still serves it — from
-    the fsynced snapshot, through the same supervised endpoint."""
+    the fsynced snapshot, through the same supervised endpoint.  The
+    killed server's own children (its estimation process) die with it."""
     snapshot = str(tmp_path / "registry.json")
     port = resolve_port()
     env = dict(os.environ)
@@ -147,7 +150,10 @@ def test_kill9_recovery_restores_registered_models(model_file, tmp_path,
         assert reply["registered_as"] == "precious"
         victim = supervisor.child
         assert victim is not None
+        orphans = children(victim.pid)
+        assert orphans, "the server has no estimation process"
         os.kill(victim.pid, signal.SIGKILL)
+        assert wait_gone(orphans, timeout=5.0) == []
 
         # Same client object rides through the restart transparently.
         after = client.predict("lmo", "scatter", "linear", 64 * KB)
@@ -167,20 +173,20 @@ def test_cli_supervised_banner_and_crash_loop(tmp_path):
     a model path that cannot load — the crash loop exit code 86."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--supervised",
          "--port", "0", "--model", f"broken={tmp_path}/missing.json",
          "--restart-limit", "2", "--restart-window", "30",
          "--no-telemetry"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
-    try:
-        banner = proc.stdout.readline().strip()
-        assert banner.startswith("supervising on 127.0.0.1:"), banner
-        code = proc.wait(timeout=120)
-        assert code == CRASH_LOOP_EXIT
-        assert "crash loop" in proc.stderr.read()
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
+    ) as proc:
+        try:
+            banner = proc.stdout.readline().strip()
+            assert banner.startswith("supervising on 127.0.0.1:"), banner
+            code = proc.wait(timeout=120)
+            assert code == CRASH_LOOP_EXIT
+            assert "crash loop" in proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
