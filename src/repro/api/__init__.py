@@ -26,7 +26,6 @@ facade only composes them and names their results.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -74,10 +73,10 @@ from repro.estimation import (
     estimate_heterogeneous_hockney,
     estimate_loggp,
     estimate_plogp,
-    parallel_shards_exist,
     recipe_for_cluster,
     star_triplets,
     sweep_collective,
+    unmerged_shard_set,
 )
 from repro.models.lmo_extended import ExtendedLMOModel
 from repro.obs import MetricsRegistry, Telemetry
@@ -302,7 +301,7 @@ def resume_campaign(
     serial (or already-merged) journal resumes serially; its remaining
     units are the stragglers, not worth a pool.
     """
-    if parallel_shards_exist(journal) and not os.path.exists(journal):
+    if unmerged_shard_set(journal):
         return ParallelCampaign.resume(
             recipe_for_cluster(cluster),
             journal,

@@ -73,6 +73,7 @@ from repro.estimation.parallel import (
     parallel_shards_exist,
     parallel_status,
     recipe_for_cluster,
+    unmerged_shard_set,
     worker_journal_paths,
 )
 from repro.estimation.robust import (
@@ -168,5 +169,6 @@ __all__ = [
     "star_triplets",
     "sweep_collective",
     "triplet_rounds",
+    "unmerged_shard_set",
     "worker_journal_paths",
 ]

@@ -22,6 +22,14 @@ makes the *campaign itself* durable:
 * **budgets** — wall-clock, simulated cluster time, total repetitions —
   stop the campaign *between* units at a checkpoint, never mid-
   experiment; the journal stays resumable with a larger budget.
+
+This module owns every campaign job once: the journal header, the
+schedule rebuilt from a header, the budget check and the resume budget
+overrides, the breaker-board replay, the unit executor, the stopped
+result and the status report.  The serial executor (:class:`Campaign`)
+and the process-pool executor (:mod:`repro.estimation.parallel`) both
+call them.  A unit's timeout/retry loop and screened mean are the
+robust runner's (:mod:`repro.estimation.robust`).
 """
 
 from __future__ import annotations
@@ -29,10 +37,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Any, Optional, Sequence
 
@@ -49,13 +56,15 @@ from repro.estimation.journal import (
     validate_fingerprint,
     validate_schedule,
 )
-from repro.estimation.lmo_est import (
-    DEFAULT_PROBE_NBYTES,
-    _rooted_triplets,
-    build_experiment_set,
+from repro.estimation.lmo_est import DEFAULT_PROBE_NBYTES, build_schedule
+from repro.estimation.robust import (
+    RetryPolicy,
+    _check_int,
+    _check_positive_finite,
+    _measure,
+    screened_mean,
+    solve_and_assemble,
 )
-from repro.estimation.robust import screened_mean, solve_and_assemble
-from repro.mpi.runtime import DeadlockError
 from repro.obs import runtime as _obs
 
 __all__ = [
@@ -68,23 +77,7 @@ __all__ = [
 ]
 
 
-# -- input validation (mirrors the validate_nbytes discipline) ------------------
-def _check_int(name: str, value: Any, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-
-
-def _check_positive_finite(name: str, value: Any) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
+# -- input validation -------------------------------------------------------------
 def _check_budget(name: str, value: Any) -> None:
     """Budgets may be None (uncapped); otherwise positive and finite —
     NaN in particular must not slip through a plain comparison."""
@@ -98,8 +91,9 @@ class CampaignConfig:
     """Everything a campaign needs to be reproducible from its journal.
 
     Measurement discipline (``timeout`` / ``max_retries`` / ``backoff`` /
-    ``mad_threshold``) mirrors :class:`~repro.estimation.robust.RetryPolicy`;
-    assembly knobs (``physical_tol`` / ``quarantine_fraction``) mirror
+    ``mad_threshold``) is a :class:`~repro.estimation.robust.RetryPolicy`
+    (:meth:`retry_policy`), validated by it; assembly knobs
+    (``physical_tol`` / ``quarantine_fraction``) mirror
     :func:`~repro.estimation.robust.estimate_extended_lmo_robust`.  The
     budgets are *hard caps*: the campaign stops at a checkpoint (between
     units, never mid-experiment) as soon as one is exceeded, leaving a
@@ -131,17 +125,9 @@ class CampaignConfig:
         _check_int("probe_nbytes", self.probe_nbytes, 1)
         _check_int("reps", self.reps, 1)
         _check_int("seed", self.seed, 0)
-        _check_int("max_retries", self.max_retries, 0)
         _check_int("checkpoint_every", self.checkpoint_every, 1)
         _check_int("retry_passes", self.retry_passes, 0)
-        _check_positive_finite("timeout", self.timeout)
-        _check_positive_finite("mad_threshold", self.mad_threshold)
-        if isinstance(self.backoff, bool) or not isinstance(
-            self.backoff, (int, float, np.integer, np.floating)
-        ):
-            raise ValueError(f"backoff must be a number, got {self.backoff!r}")
-        if not math.isfinite(self.backoff) or self.backoff < 1.0:
-            raise ValueError(f"backoff must be finite and >= 1, got {self.backoff!r}")
+        self.retry_policy()
         if not (isinstance(self.physical_tol, (int, float)) and self.physical_tol >= 0
                 and math.isfinite(self.physical_tol)):
             raise ValueError(f"physical_tol must be finite and >= 0, got {self.physical_tol!r}")
@@ -155,6 +141,15 @@ class CampaignConfig:
         _check_budget("max_sim_seconds", self.max_sim_seconds)
         if self.max_repetitions is not None:
             _check_int("max_repetitions", self.max_repetitions, 1)
+
+    def retry_policy(self) -> RetryPolicy:
+        """The per-unit timeout/retry discipline (raises on bad values)."""
+        return RetryPolicy(
+            timeout=self.timeout,
+            max_retries=self.max_retries,
+            backoff=self.backoff,
+            mad_threshold=self.mad_threshold,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -227,18 +222,63 @@ def _schedule_hash(experiments: Sequence[Experiment], config: CampaignConfig) ->
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _build_schedule(
-    n: int, probe_nbytes: int, triplets: Optional[Sequence[tuple[int, int, int]]]
+def _header_schedule(
+    header: dict[str, Any], config: CampaignConfig
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]], list[Experiment]]:
-    if n < 3:
-        raise ValueError("LMO estimation needs at least 3 processors")
-    base_triplets, rooted = _rooted_triplets(n, triplets)
-    covered = {node for triple in base_triplets for node in triple}
-    if covered != set(range(n)):
-        raise ValueError(f"triplets leave nodes {sorted(set(range(n)) - covered)} unmeasured")
-    pairs = sorted({pair for triple in base_triplets for pair in combinations(triple, 2)})
-    experiments = build_experiment_set(pairs, rooted, probe_nbytes)
-    return pairs, base_triplets, experiments
+    """``(pairs, base_triplets, experiments)`` of a journal header."""
+    triplets = header.get("triplets")
+    return build_schedule(
+        int(header["n"]), config.probe_nbytes,
+        [tuple(t) for t in triplets] if triplets is not None else None,
+    )
+
+
+def _journal_header(
+    engine: ExperimentEngine,
+    config: CampaignConfig,
+    experiments: Sequence[Experiment],
+    triplets: Optional[Sequence[tuple[int, int, int]]],
+) -> dict[str, Any]:
+    """What a fresh campaign journal starts with: which cluster, which
+    schedule, which config — everything resume checks and rebuilds from."""
+    return {
+        "fingerprint": cluster_fingerprint(engine),
+        "schedule_hash": _schedule_hash(experiments, config),
+        "n": engine.n,
+        "total_experiments": len(experiments),
+        "triplets": [list(t) for t in triplets] if triplets is not None else None,
+        "config": config.to_dict(),
+    }
+
+
+def _with_budgets(
+    config: CampaignConfig,
+    max_wall_seconds: Optional[float],
+    max_sim_seconds: Optional[float],
+    max_repetitions: Optional[int],
+) -> CampaignConfig:
+    """``config`` with each given budget replacing its journaled cap — a
+    campaign stopped on a budget needs a bigger one to finish."""
+    caps = {
+        "max_wall_seconds": max_wall_seconds,
+        "max_sim_seconds": max_sim_seconds,
+        "max_repetitions": max_repetitions,
+    }
+    return replace(config, **{name: cap for name, cap in caps.items() if cap is not None})
+
+
+def _budget_exceeded(config: CampaignConfig, spent: Any) -> Optional[str]:
+    """The stop reason of the first budget ``spent`` has reached, or None.
+
+    ``spent`` has ``repetitions``, ``sim_time`` and ``wall_time``: a
+    campaign's replayed state, or the parallel coordinator's totals."""
+    if config.max_sim_seconds is not None and spent.sim_time >= config.max_sim_seconds:
+        return "budget_sim"
+    if config.max_repetitions is not None and spent.repetitions >= config.max_repetitions:
+        return "budget_repetitions"
+    if config.max_wall_seconds is not None and spent.wall_time >= config.max_wall_seconds:
+        return "budget_wall"
+    return None
 
 
 def _triplet_experiments(
@@ -555,17 +595,54 @@ def _rebuild_board(
 
     Applies the same calls the live run made (including the
     OPEN -> HALF_OPEN transition inside ``allows``), so a resumed
-    campaign continues from the exact breaker state the crashed one had."""
+    campaign continues from the exact breaker state the crashed one had.
+    Replay is history, not live breaker activity: telemetry is suppressed."""
     board = BreakerBoard(n, policy=policy)
-    for kind, idx in events:
-        nodes = experiments[idx].nodes
-        board.allows(nodes)
-        if kind == "done":
-            board.record_success(nodes)
-        elif kind == "failed":
-            board.record_failure(nodes)
-        board.advance()
+    with _obs.suppressed():
+        for kind, idx in events:
+            nodes = experiments[idx].nodes
+            board.allows(nodes)
+            if kind == "done":
+                board.record_success(nodes)
+            elif kind == "failed":
+                board.record_failure(nodes)
+            board.advance()
     return board
+
+
+def _stopped_result(
+    reason: str,
+    config: CampaignConfig,
+    state: _ReplayedState,
+    board: BreakerBoard,
+    n: int,
+    total: int,
+    total_triplets: int,
+    journal_path: str,
+) -> CampaignResult:
+    """The model-less, resumable result of a campaign stopped on a budget."""
+    return CampaignResult(
+        model=None,
+        n=n,
+        total_experiments=total,
+        completed=len(state.completed),
+        failed=state.failed,
+        skipped=state.skipped,
+        coverage=len(state.completed) / max(1, total),
+        coverage_floor=config.coverage_floor,
+        degraded=True,
+        quarantined=tuple(board.open_nodes()),
+        solved_triplets=0,
+        total_triplets=total_triplets,
+        rejected_triplets=0,
+        stopped=reason,
+        resumable=True,
+        estimation_time=state.sim_time,
+        wall_time=state.wall_time,
+        repetitions=state.repetitions,
+        breakers=board.to_dict(),
+        journal_path=journal_path,
+    )
 
 
 # -- the campaign ----------------------------------------------------------------
@@ -595,6 +672,7 @@ class Campaign:
         self.experiments = experiments
         self.state = state
         self.board = board
+        self.policy = config.retry_policy()
         self._units_since_checkpoint = 0
 
     # -- construction --------------------------------------------------------
@@ -608,22 +686,16 @@ class Campaign:
     ) -> "Campaign":
         """Create a fresh journal at ``path`` and a campaign over it."""
         config = config if config is not None else CampaignConfig()
-        n = engine.n
-        pairs, base_triplets, experiments = _build_schedule(
-            n, config.probe_nbytes, triplets
+        pairs, base_triplets, experiments = build_schedule(
+            engine.n, config.probe_nbytes, triplets
         )
-        header = {
-            "fingerprint": cluster_fingerprint(engine),
-            "schedule_hash": _schedule_hash(experiments, config),
-            "n": n,
-            "total_experiments": len(experiments),
-            "triplets": [list(t) for t in triplets] if triplets is not None else None,
-            "config": config.to_dict(),
-        }
-        journal = CampaignJournal.create(path, header, fsync=config.fsync)
+        journal = CampaignJournal.create(
+            path, _journal_header(engine, config, experiments, triplets),
+            fsync=config.fsync,
+        )
         return cls(
             engine, journal, config, pairs, base_triplets, experiments,
-            _ReplayedState(), BreakerBoard(n, policy=config.breaker),
+            _ReplayedState(), BreakerBoard(engine.n, policy=config.breaker),
         )
 
     @classmethod
@@ -645,52 +717,21 @@ class Campaign:
         """
         rep = replay(path)
         header = rep.header
-        config = CampaignConfig.from_dict(header["config"])
-        overrides: dict[str, Any] = {}
-        if max_wall_seconds is not None:
-            _check_budget("max_wall_seconds", max_wall_seconds)
-            overrides["max_wall_seconds"] = max_wall_seconds
-        if max_sim_seconds is not None:
-            _check_budget("max_sim_seconds", max_sim_seconds)
-            overrides["max_sim_seconds"] = max_sim_seconds
-        if max_repetitions is not None:
-            _check_int("max_repetitions", max_repetitions, 1)
-            overrides["max_repetitions"] = max_repetitions
-        if overrides:
-            doc = config.to_dict()
-            doc.update(overrides)
-            config = CampaignConfig.from_dict(doc)
-        n = int(header["n"])
-        triplets = header.get("triplets")
-        triplet_tuples = (
-            [tuple(t) for t in triplets] if triplets is not None else None
+        config = _with_budgets(
+            CampaignConfig.from_dict(header["config"]),
+            max_wall_seconds, max_sim_seconds, max_repetitions,
         )
-        pairs, base_triplets, experiments = _build_schedule(
-            n, config.probe_nbytes, triplet_tuples
-        )
+        pairs, base_triplets, experiments = _header_schedule(header, config)
         validate_fingerprint(header, cluster_fingerprint(engine), path)
         validate_schedule(header, _schedule_hash(experiments, config), path)
         state = _replay_state(rep, len(experiments))
-        with _obs.suppressed():  # replay is history, not live breaker activity
-            board = _rebuild_board(n, config.breaker, state.events, experiments)
+        board = _rebuild_board(
+            int(header["n"]), config.breaker, state.events, experiments
+        )
         journal = CampaignJournal.open_append(path, fsync=config.fsync)
         return cls(
             engine, journal, config, pairs, base_triplets, experiments, state, board
         )
-
-    # -- budget accounting ---------------------------------------------------
-    def _budget_exceeded(self) -> Optional[str]:
-        cfg = self.config
-        if cfg.max_sim_seconds is not None and self.state.sim_time >= cfg.max_sim_seconds:
-            return "budget_sim"
-        if (
-            cfg.max_repetitions is not None
-            and self.state.repetitions >= cfg.max_repetitions
-        ):
-            return "budget_repetitions"
-        if cfg.max_wall_seconds is not None and self.state.wall_time >= cfg.max_wall_seconds:
-            return "budget_wall"
-        return None
 
     # -- telemetry -----------------------------------------------------------
     def _flush_telemetry(self) -> None:
@@ -791,41 +832,14 @@ class Campaign:
         _reseed_engine(self.engine, _unit_seed(config.seed, index))
         sim_start = self.engine.estimation_time
         wall_start = time.perf_counter()
-        samples: list[float] = []
-        attempts = timeouts = deadlocks = 0
-        for _rep in range(config.reps):
-            attempts += 1
-            try:
-                duration = float(self.engine.run(exp))
-            except DeadlockError:
-                deadlocks += 1
-                continue
-            if duration <= config.timeout:
-                samples.append(duration)
-            else:
-                timeouts += 1
-        budget = config.timeout
-        for _retry in range(config.max_retries):
-            if samples:
-                break
-            attempts += 1
-            budget *= config.backoff
-            try:
-                duration = float(self.engine.run(exp))
-            except DeadlockError:
-                deadlocks += 1
-                continue
-            if duration <= budget:
-                samples.append(duration)
-            else:
-                timeouts += 1
+        tally = _measure(self.engine, exp, self.policy, reps=config.reps)
         sim_cost = float(self.engine.estimation_time - sim_start)
         wall_cost = float(time.perf_counter() - wall_start)
-        state.repetitions += attempts
+        state.repetitions += tally.attempts
         state.sim_time += sim_cost
         state.wall_time += wall_cost
         if tel is not None:
-            retries = attempts - config.reps
+            retries = tally.attempts - config.reps
             if retries > 0:
                 tel.registry.counter(
                     "campaign_unit_retries_total",
@@ -837,17 +851,17 @@ class Campaign:
 
         common = {
             "index": index,
-            "attempts": attempts,
-            "timeouts": timeouts,
-            "deadlocks": deadlocks,
+            "attempts": tally.attempts,
+            "timeouts": tally.timeouts,
+            "deadlocks": tally.deadlocks,
             "sim_cost": sim_cost,
             "wall_cost": wall_cost,
         }
-        if samples:
-            value = float(screened_mean(samples, config.mad_threshold))
+        if tally.samples:
+            value = float(screened_mean(tally.samples, config.mad_threshold))
             journal.append({
                 "type": "experiment_done",
-                "samples": samples,
+                "samples": tally.samples,
                 "value": value,
                 **common,
             })
@@ -894,7 +908,7 @@ class Campaign:
                         break
                     successes = 0
                     for index in missing:
-                        reason = self._budget_exceeded()
+                        reason = _budget_exceeded(self.config, self.state)
                         if reason is not None:
                             tel = _obs.ACTIVE
                             if tel is not None:
@@ -902,8 +916,12 @@ class Campaign:
                                     "campaign_budget_stop", reason=reason,
                                     completed=len(self.state.completed), total=total,
                                 )
-                            self._checkpoint(reason)
-                            return self._stopped(reason)
+                            self._checkpoint(reason)  # flushes the gauges too
+                            return _stopped_result(
+                                reason, self.config, self.state, self.board,
+                                self.engine.n, total, len(self.base_triplets),
+                                self.journal.path,
+                            )
                         if self._process_unit(index) == "done":
                             successes += 1
                     if successes == 0:
@@ -911,32 +929,6 @@ class Campaign:
                 return self._finalize(write_record=True)
         finally:
             self.journal.close()
-
-    def _stopped(self, reason: str) -> CampaignResult:
-        self._flush_telemetry()
-        state = self.state
-        return CampaignResult(
-            model=None,
-            n=self.engine.n,
-            total_experiments=len(self.experiments),
-            completed=len(state.completed),
-            failed=state.failed,
-            skipped=state.skipped,
-            coverage=len(state.completed) / len(self.experiments),
-            coverage_floor=self.config.coverage_floor,
-            degraded=True,
-            quarantined=tuple(self.board.open_nodes()),
-            solved_triplets=0,
-            total_triplets=len(self.base_triplets),
-            rejected_triplets=0,
-            stopped=reason,
-            resumable=True,
-            estimation_time=state.sim_time,
-            wall_time=state.wall_time,
-            repetitions=state.repetitions,
-            breakers=self.board.to_dict(),
-            journal_path=self.journal.path,
-        )
 
     def _finalize(self, write_record: bool) -> CampaignResult:
         self._flush_telemetry()
@@ -1005,42 +997,24 @@ class Campaign:
         )
 
 
-def campaign_status(path: str) -> CampaignStatus:
-    """Inspect a journal without touching any cluster.
+def _status(
+    path: str, header: dict[str, Any], state: _ReplayedState, truncated_tail: bool
+) -> CampaignStatus:
+    """The :class:`CampaignStatus` of the unit outcomes in ``state``.
 
-    Everything here is re-derived from the journal alone: the schedule is
-    rebuilt from the header's config (so triplet solvability can be
-    checked against completed indices) and the breaker board is replayed
-    from the outcome sequence (so "quarantined" means exactly what a
-    resume would see).  Journals whose header predates the config field
-    fall back to counts only.
-
-    A path with no canonical journal but a parallel shard set (a
-    coordinator journal from :mod:`repro.estimation.parallel`) is
-    reported by folding the worker journals instead.
+    The schedule is rebuilt from the header's config (so triplet
+    solvability can be checked against completed indices) and the
+    breaker board is replayed from the outcome sequence (so
+    "quarantined" means exactly what a resume would see).  Headers that
+    predate the config field give counts only.
     """
-    if not os.path.exists(path):
-        from repro.estimation.parallel import parallel_shards_exist, parallel_status
-
-        if parallel_shards_exist(path):
-            return parallel_status(path)
-    rep = replay(path)
-    total = int(rep.header.get("total_experiments", 0))
-    state = _replay_state(rep, total)
-    coverage = len(state.completed) / total if total else 0.0
+    total = int(header.get("total_experiments", 0))
     quarantined: tuple[int, ...] = ()
     solved = total_triplets = 0
-    header_config = rep.header.get("config")
-    if header_config is not None:
-        config = CampaignConfig.from_dict(header_config)
-        n = int(rep.header["n"])
-        triplets = rep.header.get("triplets")
-        _, base_triplets, experiments = _build_schedule(
-            n, config.probe_nbytes,
-            [tuple(t) for t in triplets] if triplets is not None else None,
-        )
-        with _obs.suppressed():
-            board = _rebuild_board(n, config.breaker, state.events, experiments)
+    if header.get("config") is not None:
+        config = CampaignConfig.from_dict(header["config"])
+        _, base_triplets, experiments = _header_schedule(header, config)
+        board = _rebuild_board(int(header["n"]), config.breaker, state.events, experiments)
         quarantined = tuple(board.open_nodes())
         exp_index = {exp: idx for idx, exp in enumerate(experiments)}
         total_triplets = len(base_triplets)
@@ -1051,7 +1025,7 @@ def campaign_status(path: str) -> CampaignStatus:
         )
     return CampaignStatus(
         journal_path=path,
-        n=int(rep.header.get("n", 0)),
+        n=int(header.get("n", 0)),
         total_experiments=total,
         completed=len(state.completed),
         failed=state.failed,
@@ -1062,9 +1036,26 @@ def campaign_status(path: str) -> CampaignStatus:
         wall_time=state.wall_time,
         complete=state.complete,
         stopped_reason=state.stop_reason,
-        truncated_tail=bool(rep.truncated_tail),
-        coverage=coverage,
+        truncated_tail=truncated_tail,
+        coverage=len(state.completed) / total if total else 0.0,
         quarantined=quarantined,
         solved_triplets=solved,
         total_triplets=total_triplets,
     )
+
+
+def campaign_status(path: str) -> CampaignStatus:
+    """Inspect a journal without touching any cluster.
+
+    Everything is re-derived from the journal alone (:func:`_status`).
+    A parallel campaign whose shards are not merged yet is reported by
+    folding its worker journals instead
+    (:func:`repro.estimation.parallel.parallel_status`).
+    """
+    from repro.estimation.parallel import parallel_status, unmerged_shard_set
+
+    if unmerged_shard_set(path):
+        return parallel_status(path)
+    rep = replay(path)
+    state = _replay_state(rep, int(rep.header.get("total_experiments", 0)))
+    return _status(path, rep.header, state, bool(rep.truncated_tail))

@@ -41,6 +41,7 @@ __all__ = [
     "all_triplets",
     "assemble_model",
     "build_experiment_set",
+    "build_schedule",
     "collect_parameter_samples",
     "estimate_extended_lmo",
     "estimate_original_lmo",
@@ -173,6 +174,24 @@ def build_experiment_set(
         experiments.append(one_to_two(root, a, b, 0, 0))
         experiments.append(one_to_two(root, a, b, probe_nbytes, 0))
     return experiments
+
+
+def build_schedule(
+    n: int, probe_nbytes: int, triplets: Optional[Sequence[tuple[int, int, int]]] = None
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]], list[Experiment]]:
+    """``(pairs, base_triplets, experiments)`` of an estimation on ``n``
+    nodes: the triplets to solve (default: all ``C(n,3)``), the pairs they
+    cover, and the measurement set.  Every node must be covered."""
+    if n < 3:
+        raise ValueError("LMO estimation needs at least 3 processors")
+    if probe_nbytes <= 0:
+        raise ValueError("probe_nbytes must be positive")
+    base_triplets, rooted = _rooted_triplets(n, triplets)
+    covered = {node for triple in base_triplets for node in triple}
+    if covered != set(range(n)):
+        raise ValueError(f"triplets leave nodes {sorted(set(range(n)) - covered)} unmeasured")
+    pairs = sorted({pair for triple in base_triplets for pair in combinations(triple, 2)})
+    return pairs, base_triplets, build_experiment_set(pairs, rooted, probe_nbytes)
 
 
 def solve_triplet(
@@ -339,19 +358,9 @@ def estimate_extended_lmo(
         instead of the fixed ``reps`` (the paper's 95%/2.5% discipline).
     """
     n = engine.n
-    if n < 3:
-        raise ValueError("LMO estimation needs at least 3 processors")
-    if probe_nbytes <= 0:
-        raise ValueError("probe_nbytes must be positive")
-    base_triplets, rooted = _rooted_triplets(n, triplets)
-    covered = {node for triple in base_triplets for node in triple}
-    if covered != set(range(n)):
-        raise ValueError(f"triplets leave nodes {sorted(set(range(n)) - covered)} unmeasured")
-
-    pairs = sorted({pair for triple in base_triplets for pair in combinations(triple, 2)})
+    pairs, base_triplets, experiments = build_schedule(n, probe_nbytes, triplets)
 
     # -- measure -------------------------------------------------------------
-    experiments = build_experiment_set(pairs, rooted, probe_nbytes)
     t_start = engine.estimation_time
     if policy is not None:
         measured = run_schedule_adaptive(engine, experiments, policy=policy,

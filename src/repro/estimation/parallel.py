@@ -42,6 +42,14 @@ Crash-resume works on the sharded set: if the coordinator dies, the
 coordinator journal plus the per-worker journals are enough for
 :meth:`ParallelCampaign.resume` (``repro campaign resume --workers N``)
 to fold what was measured and finish the rest with a fresh pool.
+
+This module keeps only what is parallel: the engine recipes, the shard
+groups, the pool worker, the per-worker journals (``path.wK``) and the
+coordinator journal (``path.coord``), the merge and the supervision of
+the pool.  Every campaign job both executors share — the journal
+header, the schedule of a header, the budget check and the resume
+overrides, the breaker-board replay, the stopped result and the status
+report — has its one body in :mod:`repro.estimation.campaign`.
 """
 
 from __future__ import annotations
@@ -63,13 +71,16 @@ from repro.estimation.campaign import (
     CampaignConfig,
     CampaignResult,
     CampaignStatus,
-    _build_schedule,
+    _budget_exceeded,
     _experiment_to_dict,
+    _header_schedule,
+    _journal_header,
     _rebuild_board,
     _record_identity,
     _ReplayedState,
-    _schedule_hash,
-    _triplet_experiments,
+    _status,
+    _stopped_result,
+    _with_budgets,
     cluster_fingerprint,
 )
 from repro.estimation.engines import AnalyticEngine, DESEngine, ExperimentEngine
@@ -81,6 +92,7 @@ from repro.estimation.journal import (
     validate_fingerprint,
     validate_schedule,
 )
+from repro.estimation.lmo_est import build_schedule
 from repro.io import atomic_write_text
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
@@ -98,6 +110,7 @@ __all__ = [
     "parallel_shards_exist",
     "parallel_status",
     "recipe_for_cluster",
+    "unmerged_shard_set",
     "worker_journal_paths",
 ]
 
@@ -261,6 +274,13 @@ def parallel_shards_exist(path: str) -> bool:
     return os.path.exists(coordinator_path(path))
 
 
+def unmerged_shard_set(path: str) -> bool:
+    """True when campaign ``path`` is a shard set not merged yet: a
+    coordinator journal but no canonical journal.  Status and resume
+    read such a campaign from its shards."""
+    return not os.path.exists(path) and parallel_shards_exist(path)
+
+
 def _shard_groups(experiments: Sequence[Any]) -> list[list[int]]:
     """Shard the schedule into unit groups by node locality.
 
@@ -280,17 +300,6 @@ def _without(groups: list[list[int]], units: Container[int]) -> list[list[int]]:
     """``groups`` minus ``units``, dropping groups left empty."""
     kept = ([idx for idx in group if idx not in units] for group in groups)
     return [group for group in kept if group]
-
-
-def _header_schedule(
-    header: dict[str, Any], config: CampaignConfig
-) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]], list[Any]]:
-    """``(pairs, base_triplets, experiments)`` of a journal header."""
-    triplets = header.get("triplets")
-    return _build_schedule(
-        int(header["n"]), config.probe_nbytes,
-        [tuple(t) for t in triplets] if triplets is not None else None,
-    )
 
 
 # -- the pool worker -------------------------------------------------------------
@@ -408,6 +417,24 @@ class _MergedUnits:
             return "skipped"
         return None
 
+    def replayed(self, total: int) -> _ReplayedState:
+        """The merged outcomes as the serial replay state: one outcome per
+        unit in canonical order, costs summed over the kept records."""
+        state = _ReplayedState(in_flight=sorted(self.in_flight))
+        for index in range(total):
+            outcome = self.outcome(index)
+            if outcome is None:
+                continue
+            state.events.append((outcome, index))
+            state.last_outcome[index] = outcome
+            if outcome == "done":
+                state.completed[index] = float(self.done[index]["value"])
+        for rec in (*self.done.values(), *self.failed.values()):
+            state.repetitions += int(rec.get("attempts", 0))
+            state.sim_time += float(rec.get("sim_cost", 0.0))
+            state.wall_time += float(rec.get("wall_cost", 0.0))
+        return state
+
 
 def _collect_worker_units(path: str, header: dict[str, Any]) -> _MergedUnits:
     """Fold every worker journal of ``path`` into per-unit outcomes.
@@ -460,20 +487,6 @@ def _collect_worker_units(path: str, header: dict[str, Any]) -> _MergedUnits:
         merged.in_flight.update(started)
     merged.in_flight -= set(merged.done)
     return merged
-
-
-def _merged_board(
-    header: dict[str, Any], config: CampaignConfig, experiments: Sequence[Any],
-    merged: _MergedUnits,
-) -> BreakerBoard:
-    """The breaker board the merged outcomes give in canonical unit order."""
-    events = []
-    for index in range(len(experiments)):
-        outcome = merged.outcome(index)
-        if outcome is not None:
-            events.append((outcome, index))
-    with _obs.suppressed():  # replay is history, not live breaker activity
-        return _rebuild_board(int(header["n"]), config.breaker, events, experiments)
 
 
 def merge_worker_journals(path: str) -> tuple[int, int]:
@@ -552,7 +565,7 @@ class ParallelCampaign:
         parallel: ParallelConfig,
         header: dict[str, Any],
         coord: CampaignJournal,
-        done: dict[int, dict[str, Any]],
+        merged: _MergedUnits,
     ) -> None:
         self.recipe = recipe
         self.path = path
@@ -560,16 +573,18 @@ class ParallelCampaign:
         self.parallel = parallel
         self.header = header
         self.coord = coord
-        self.pairs, self.base_triplets, self.experiments = _header_schedule(
+        _pairs, self.base_triplets, self.experiments = _header_schedule(
             header, config
         )
         self.n = int(header["n"])
         #: Unit groups still to measure, one pool task each.
-        self.pending = _without(_shard_groups(self.experiments), done)
-        # Budget counters start from what prior runs already spent.
-        self.repetitions = sum(int(r.get("attempts", 0)) for r in done.values())
-        self.sim_time = sum(float(r.get("sim_cost", 0.0)) for r in done.values())
-        self.wall_time = sum(float(r.get("wall_cost", 0.0)) for r in done.values())
+        self.pending = _without(_shard_groups(self.experiments), merged.done)
+        # Budget counters start from what prior runs already spent, on
+        # failed units too, as the status and a serial resume count it.
+        spent = merged.replayed(len(self.experiments))
+        self.repetitions = spent.repetitions
+        self.sim_time = spent.sim_time
+        self.wall_time = spent.wall_time
         self._units_landed = 0
 
     # -- construction --------------------------------------------------------
@@ -599,17 +614,10 @@ class ParallelCampaign:
                 "or pick a new path"
             )
         engine = recipe.build()
-        _pairs, _base, experiments = _build_schedule(
+        _pairs, _base, experiments = build_schedule(
             engine.n, config.probe_nbytes, triplets
         )
-        header = {
-            "fingerprint": cluster_fingerprint(engine),
-            "schedule_hash": _schedule_hash(experiments, config),
-            "n": engine.n,
-            "total_experiments": len(experiments),
-            "triplets": [list(t) for t in triplets] if triplets is not None else None,
-            "config": config.to_dict(),
-        }
+        header = _journal_header(engine, config, experiments, triplets)
         # Stamp the active trace into the coordinator header; every
         # worker journal inherits it ({**header, "worker": id}), so all
         # shards of one campaign are greppable by a single trace id —
@@ -623,7 +631,7 @@ class ParallelCampaign:
              "parallel": {"workers": parallel.workers}},
             fsync=config.fsync,
         )
-        return cls(recipe, path, config, parallel, header, coord, {})
+        return cls(recipe, path, config, parallel, header, coord, _MergedUnits())
 
     @classmethod
     def resume(
@@ -650,19 +658,11 @@ class ParallelCampaign:
             k: v for k, v in rep.header.items()
             if k not in ("type", "schema_version", "role", "parallel")
         }
-        config = CampaignConfig.from_dict(header["config"])
-        overrides: dict[str, Any] = {}
-        if max_wall_seconds is not None:
-            overrides["max_wall_seconds"] = max_wall_seconds
-        if max_sim_seconds is not None:
-            overrides["max_sim_seconds"] = max_sim_seconds
-        if max_repetitions is not None:
-            overrides["max_repetitions"] = max_repetitions
-        if overrides:
-            doc = config.to_dict()
-            doc.update(overrides)
-            config = CampaignConfig.from_dict(doc)
-            header["config"] = config.to_dict()
+        config = _with_budgets(
+            CampaignConfig.from_dict(header["config"]),
+            max_wall_seconds, max_sim_seconds, max_repetitions,
+        )
+        header["config"] = config.to_dict()
         engine = recipe.build()
         validate_fingerprint(header, cluster_fingerprint(engine), coord_file)
         merged = _collect_worker_units(path, header)
@@ -672,7 +672,7 @@ class ParallelCampaign:
             "completed_units": len(merged.done),
             "worker_journals": len(worker_journal_paths(path)),
         })
-        return cls(recipe, path, config, parallel, header, coord, merged.done)
+        return cls(recipe, path, config, parallel, header, coord, merged)
 
     # -- telemetry -----------------------------------------------------------
     def _count(self, name: str, help_text: str, value: float = 1.0,
@@ -682,19 +682,6 @@ class ParallelCampaign:
             tel.registry.counter(name, help=help_text, **labels).inc(value)
 
     # -- the sweep -----------------------------------------------------------
-    def _budget_exceeded(self) -> Optional[str]:
-        cfg = self.config
-        if cfg.max_sim_seconds is not None and self.sim_time >= cfg.max_sim_seconds:
-            return "budget_sim"
-        if (
-            cfg.max_repetitions is not None
-            and self.repetitions >= cfg.max_repetitions
-        ):
-            return "budget_repetitions"
-        if cfg.max_wall_seconds is not None and self.wall_time >= cfg.max_wall_seconds:
-            return "budget_wall"
-        return None
-
     def run(self) -> CampaignResult:
         """Execute the sharded sweep, merge, and assemble the final result.
 
@@ -723,7 +710,16 @@ class ParallelCampaign:
                     "type": "checkpoint", "reason": stopped,
                     "completed": len(merged.done),
                 })
-                return self._stopped_result(stopped, merged, wall_start)
+                state = merged.replayed(len(self.experiments))
+                board = _rebuild_board(
+                    self.n, self.config.breaker, state.events, self.experiments
+                )
+                result = _stopped_result(
+                    stopped, self.config, state, board, self.n,
+                    len(self.experiments), len(self.base_triplets), self.path,
+                )
+                # Report the fleet's real elapsed time, not the units' sum.
+                return replace(result, wall_time=time.perf_counter() - wall_start)
             units_merged, duplicates = merge_worker_journals(self.path)
             self.coord.append({
                 "type": "merge_complete",
@@ -753,7 +749,7 @@ class ParallelCampaign:
         existing = _worker_journals(self.path)
         next_id = ctx.Value("i", existing[-1][0] + 1 if existing else 0)
         while self.pending:
-            reason = self._budget_exceeded()
+            reason = _budget_exceeded(self.config, self)
             if reason is not None:
                 return reason
             first_id = next_id.value
@@ -806,7 +802,7 @@ class ParallelCampaign:
             except BrokenProcessPool:
                 return "worker_died"
             self._land(worker_id, results)
-            reason = self._budget_exceeded()
+            reason = _budget_exceeded(self.config, self)
             if reason is not None:
                 return reason
         self.pending = []
@@ -870,34 +866,6 @@ class ParallelCampaign:
             )
 
     # -- results -------------------------------------------------------------
-    def _stopped_result(
-        self, reason: str, merged: _MergedUnits, wall_start: float
-    ) -> CampaignResult:
-        records = list(merged.done.values()) + list(merged.failed.values())
-        board = _merged_board(self.header, self.config, self.experiments, merged)
-        return CampaignResult(
-            model=None,
-            n=self.n,
-            total_experiments=len(self.experiments),
-            completed=len(merged.done),
-            failed=len(merged.failed),
-            skipped=len(merged.skipped),
-            coverage=len(merged.done) / max(1, len(self.experiments)),
-            coverage_floor=self.config.coverage_floor,
-            degraded=True,
-            quarantined=tuple(board.open_nodes()),
-            solved_triplets=0,
-            total_triplets=len(self.base_triplets),
-            rejected_triplets=0,
-            stopped=reason,
-            resumable=True,
-            estimation_time=sum(float(r.get("sim_cost", 0.0)) for r in records),
-            wall_time=time.perf_counter() - wall_start,
-            repetitions=sum(int(r.get("attempts", 0)) for r in records),
-            breakers=board.to_dict(),
-            journal_path=self.path,
-        )
-
     def _assemble(self, wall_start: float) -> CampaignResult:
         """Re-derive the final result from the canonical merged journal.
 
@@ -905,12 +873,16 @@ class ParallelCampaign:
         canonical journal with every unit measured re-measures nothing,
         and one with gaps (units a dying fleet never landed) finishes
         them serially against the canonical breaker board — the same
-        passes an interrupted serial run would make on resume.  That is
+        passes an interrupted serial run would make on resume, under
+        this run's budget caps (a resume's overrides included).  That is
         what makes the parallel result bit-identical to the serial one
         by construction rather than by careful bookkeeping.
         """
-        engine = self.recipe.build()
-        result = Campaign.resume(engine, self.path).run()
+        cfg = self.config
+        result = Campaign.resume(
+            self.recipe.build(), self.path,
+            cfg.max_wall_seconds, cfg.max_sim_seconds, cfg.max_repetitions,
+        ).run()
         # Report the fleet's real elapsed time, not the replay's.
         return replace(result, wall_time=time.perf_counter() - wall_start)
 
@@ -920,53 +892,16 @@ def parallel_status(path: str) -> CampaignStatus:
     """A :class:`CampaignStatus` computed from a sharded journal set.
 
     Folds every worker journal (idempotently, torn tails tolerated)
-    without touching a cluster, exactly as
-    :func:`repro.estimation.campaign.campaign_status` does for a serial
-    journal.
+    without touching a cluster, and reports it through the same body
+    :func:`repro.estimation.campaign.campaign_status` uses.
     """
     rep = replay(coordinator_path(path))
     header = rep.header
     merged = _collect_worker_units(path, header)
-    total = int(header.get("total_experiments", 0))
-    records = list(merged.done.values()) + list(merged.failed.values())
-    stop_reason = None
-    complete = False
+    state = merged.replayed(int(header.get("total_experiments", 0)))
     for record in rep.records:
         if record.get("type") == "checkpoint":
-            stop_reason = record.get("reason")
+            state.stop_reason = record.get("reason")
         elif record.get("type") == "campaign_complete":
-            complete = True
-    solved = total_triplets = 0
-    quarantined: tuple[int, ...] = ()
-    header_config = header.get("config")
-    if header_config is not None:
-        config = CampaignConfig.from_dict(header_config)
-        _pairs, base_triplets, experiments = _header_schedule(header, config)
-        exp_index = {exp: idx for idx, exp in enumerate(experiments)}
-        total_triplets = len(base_triplets)
-        solved = sum(
-            1 for triple in base_triplets
-            if all(exp_index[exp] in merged.done
-                   for exp in _triplet_experiments(triple, config.probe_nbytes))
-        )
-        board = _merged_board(header, config, experiments, merged)
-        quarantined = tuple(board.open_nodes())
-    return CampaignStatus(
-        journal_path=path,
-        n=int(header.get("n", 0)),
-        total_experiments=total,
-        completed=len(merged.done),
-        failed=len(merged.failed),
-        skipped=len(merged.skipped),
-        in_flight=tuple(sorted(merged.in_flight)),
-        repetitions=sum(int(r.get("attempts", 0)) for r in records),
-        estimation_time=sum(float(r.get("sim_cost", 0.0)) for r in records),
-        wall_time=sum(float(r.get("wall_cost", 0.0)) for r in records),
-        complete=complete,
-        stopped_reason=stop_reason,
-        truncated_tail=False,
-        coverage=len(merged.done) / total if total else 0.0,
-        quarantined=quarantined,
-        solved_triplets=solved,
-        total_triplets=total_triplets,
-    )
+            state.complete = True
+    return _status(path, header, state, truncated_tail=False)

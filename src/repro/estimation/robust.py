@@ -29,9 +29,9 @@ damage across the whole model.  This module closes the gaps end-to-end:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -39,9 +39,8 @@ from repro.estimation.engines import ExperimentEngine
 from repro.estimation.experiments import Experiment
 from repro.estimation.lmo_est import (
     DEFAULT_PROBE_NBYTES,
-    _rooted_triplets,
     assemble_model,
-    build_experiment_set,
+    build_schedule,
     collect_parameter_samples,
     solve_triplet,
 )
@@ -67,6 +66,28 @@ class EstimationFailure(RuntimeError):
     """Raised when an experiment yields no sample within the retry budget."""
 
 
+# -- input validation (mirrors the validate_nbytes discipline) ------------------
+def _check_int(name: str, value: Any, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _check_finite(name: str, value: Any) -> None:
+    """A real number that is not NaN or infinite (bools are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive_finite(name: str, value: Any) -> None:
+    _check_finite(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Timeout/retry discipline for one measurement repetition.
@@ -78,6 +99,10 @@ class RetryPolicy:
     multiplies the budget by ``backoff``: persistent slowness (the thing
     drift detection must *see*) is accepted after a couple of retries;
     only transient contamination is filtered out.
+
+    This is a simulated-time budget that widens an acceptance threshold;
+    the wall-clock delay between reconnects or restarts is
+    :class:`repro.serve.client.RetryPolicy`.
     """
 
     timeout: float = 0.05
@@ -86,14 +111,12 @@ class RetryPolicy:
     mad_threshold: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        _check_positive_finite("timeout", self.timeout)
+        _check_int("max_retries", self.max_retries, 0)
+        _check_finite("backoff", self.backoff)
         if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
-        if self.mad_threshold <= 0:
-            raise ValueError(f"mad_threshold must be positive, got {self.mad_threshold}")
+            raise ValueError(f"backoff must be >= 1, got {self.backoff!r}")
+        _check_positive_finite("mad_threshold", self.mad_threshold)
 
 
 @dataclass
@@ -117,16 +140,64 @@ class RobustRunStats:
         )
 
 
-def screened_mean(values: Sequence[float], mad_threshold: float = 5.0) -> float:
-    """Mean of the MAD-rule inliers (plain mean if everything is inlier)."""
+def _screen(values: Sequence[float], mad_threshold: float) -> tuple[float, int]:
+    """``(mean of the MAD-rule inliers, samples dropped)``; fewer than three
+    samples are too few to screen."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot reduce an empty sample list")
     if arr.size < 3:
-        return float(arr.mean())
+        return float(arr.mean()), 0
     mask = mad_outlier_mask(arr, threshold=mad_threshold)
     inliers = arr[~mask]
-    return float(inliers.mean()) if inliers.size else float(np.median(arr))
+    mean = float(inliers.mean()) if inliers.size else float(np.median(arr))
+    return mean, int(mask.sum())
+
+
+def screened_mean(values: Sequence[float], mad_threshold: float = 5.0) -> float:
+    """Mean of the MAD-rule inliers (plain mean if everything is inlier)."""
+    return _screen(values, mad_threshold)[0]
+
+
+@dataclass
+class _Tally:
+    """One experiment's repetitions: what was accepted, what was rejected."""
+
+    samples: list[float] = field(default_factory=list)
+    #: Durations over their budget (the fallback when nothing is accepted).
+    contaminated: list[float] = field(default_factory=list)
+    attempts: int = 0
+    timeouts: int = 0
+    deadlocks: int = 0
+
+
+def _measure(
+    engine: ExperimentEngine, exp: Experiment, policy: RetryPolicy,
+    reps: int = 0, tally: Optional[_Tally] = None,
+) -> _Tally:
+    """``reps`` attempts within ``policy.timeout``, then, while no sample
+    is accepted, up to ``policy.max_retries`` retries with the budget
+    multiplied by ``policy.backoff`` each time.  Deadlocks are counted
+    and survived; ``tally`` carries what an earlier batched phase took."""
+    tally = tally if tally is not None else _Tally()
+    budget = policy.timeout
+    for attempt in range(reps + policy.max_retries):
+        if attempt >= reps:
+            if tally.samples:
+                break
+            budget *= policy.backoff
+        tally.attempts += 1
+        try:
+            duration = float(engine.run(exp))
+        except DeadlockError:
+            tally.deadlocks += 1
+            continue
+        if duration <= budget:
+            tally.samples.append(duration)
+        else:
+            tally.timeouts += 1
+            tally.contaminated.append(duration)
+    return tally
 
 
 def run_schedule_robust(
@@ -155,8 +226,7 @@ def run_schedule_robust(
         raise ValueError(f"reps must be >= 1, got {reps}")
     policy = policy if policy is not None else RetryPolicy()
     stats = RobustRunStats()
-    samples: dict[Experiment, list[float]] = {exp: [] for exp in experiments}
-    contaminated: dict[Experiment, list[float]] = {exp: [] for exp in experiments}
+    tallies = {exp: _Tally() for exp in experiments}
 
     rounds = _grouped_rounds(experiments) if parallel else [[exp] for exp in experiments]
     for round_exps in rounds:
@@ -170,48 +240,29 @@ def run_schedule_robust(
                 continue
             for exp, duration in zip(round_exps, durations):
                 if duration <= policy.timeout:
-                    samples[exp].append(duration)
+                    tallies[exp].samples.append(duration)
                 else:
                     stats.timeouts += 1
-                    contaminated[exp].append(duration)
+                    tallies[exp].contaminated.append(duration)
 
-    for exp in experiments:
-        budget = policy.timeout
-        for _attempt in range(policy.max_retries):
-            if samples[exp]:
-                break
-            budget *= policy.backoff
-            stats.retries += 1
-            try:
-                duration = engine.run(exp)
-            except DeadlockError:
-                stats.deadlocks += 1
-                continue
-            if duration <= budget:
-                samples[exp].append(duration)
-            else:
-                stats.timeouts += 1
-                contaminated[exp].append(duration)
-        if not samples[exp]:
-            if not contaminated[exp]:
+    results: dict[Experiment, float] = {}
+    for exp, tally in tallies.items():
+        _measure(engine, exp, policy, tally=tally)
+        stats.retries += tally.attempts
+        stats.timeouts += tally.timeouts
+        stats.deadlocks += tally.deadlocks
+        if not tally.samples:
+            if not tally.contaminated:
                 raise EstimationFailure(
                     f"{exp.kind} on nodes {exp.nodes}: no sample within "
                     f"{policy.max_retries} retries (every attempt deadlocked)"
                 )
             # Graceful degradation: keep the least-contaminated value and
             # report it, rather than dropping the experiment silently.
-            samples[exp].append(min(contaminated[exp]))
+            tally.samples.append(min(tally.contaminated))
             stats.degraded.append(exp)
-
-    results: dict[Experiment, float] = {}
-    for exp, values in samples.items():
-        arr = np.asarray(values, dtype=float)
-        if arr.size >= 3:
-            mask = mad_outlier_mask(arr, threshold=policy.mad_threshold)
-            stats.dropped_outliers += int(mask.sum())
-            inliers = arr[~mask]
-            arr = inliers if inliers.size else arr
-        results[exp] = float(arr.mean())
+        results[exp], dropped = _screen(tally.samples, policy.mad_threshold)
+        stats.dropped_outliers += dropped
     tel = _obs.ACTIVE
     if tel is not None:
         # One flush per schedule run — the hot measurement loop stays clean.
@@ -410,20 +461,10 @@ def estimate_extended_lmo_robust(
     measured — and the result records which nodes needed that.
     """
     n = engine.n
-    if n < 3:
-        raise ValueError("LMO estimation needs at least 3 processors")
-    if probe_nbytes <= 0:
-        raise ValueError("probe_nbytes must be positive")
     if not (0 < quarantine_fraction <= 1):
         raise ValueError(f"quarantine_fraction must be in (0, 1], got {quarantine_fraction}")
     policy = policy if policy is not None else RetryPolicy()
-    base_triplets, rooted = _rooted_triplets(n, triplets)
-    covered = {node for triple in base_triplets for node in triple}
-    if covered != set(range(n)):
-        raise ValueError(f"triplets leave nodes {sorted(set(range(n)) - covered)} unmeasured")
-    pairs = sorted({pair for triple in base_triplets for pair in combinations(triple, 2)})
-
-    experiments = build_experiment_set(pairs, rooted, probe_nbytes)
+    pairs, base_triplets, experiments = build_schedule(n, probe_nbytes, triplets)
     t_start = engine.estimation_time
     measured, run_stats = run_schedule_robust(
         engine, experiments, reps=reps, policy=policy, parallel=parallel

@@ -241,13 +241,16 @@ class ServiceClient(_Verbs):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Seeded exponential backoff with jitter.
+    """Seeded exponential backoff with jitter: the one wall-clock delay.
 
     ``delay(attempt)`` for attempt 0, 1, 2, ... is
     ``min(max_delay, base_delay * multiplier**attempt)`` scaled by a
     jitter factor drawn from the policy's own RNG — two policies built
     with the same ``seed`` produce the same delay sequence, so resilience
-    tests and the chaos benchmark replay deterministically.
+    tests and the chaos benchmark replay deterministically.  Client
+    reconnects and supervisor restarts both sleep it; the simulated-time
+    timeout budget of a measurement is
+    :class:`repro.estimation.robust.RetryPolicy`.
     """
 
     max_retries: int = 4

@@ -87,10 +87,13 @@ class ServerThread:
                 await server.abort()
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Drain gracefully and join the thread (idempotent)."""
+        """Drain gracefully and join the thread (idempotent).
+
+        A server that already stopped itself (``abort()``) has a loop
+        that is closing: there is nothing to drain, only the join."""
         if self._loop is None or self._thread is None or self.server is None:
             return
-        if self._thread.is_alive():
+        if self._thread.is_alive() and self.server.state != STOPPED:
             future = asyncio.run_coroutine_threadsafe(
                 self.server.drain(), self._loop
             )

@@ -10,8 +10,8 @@ answering:
   SIGKILL and treated as a crash;
 * a crashed child (nonzero exit, killed by a signal, ``kill -9`` from
   outside) is **restarted** after an exponential backoff
-  (``backoff_base * backoff_multiplier ** n``, capped at
-  ``backoff_max``); the backoff resets once a child proves healthy;
+  (``restart_backoff.delay(n)``: 0.2 s doubling per crash, capped at
+  5 s); the backoff resets once a child proves healthy;
 * a **crash loop** — ``restart_limit`` crashes inside a sliding
   ``restart_window`` seconds — makes the supervisor give up with the
   distinct exit code :data:`CRASH_LOOP_EXIT` instead of burning CPU
@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
-from repro.serve.client import ServiceClient
+from repro.serve.client import RetryPolicy, ServiceClient
 
 __all__ = ["CRASH_LOOP_EXIT", "Supervisor", "SupervisorConfig", "resolve_port"]
 
@@ -91,9 +91,12 @@ class SupervisorConfig:
     #: Crashes within ``restart_window`` seconds that end supervision.
     restart_limit: int = 5
     restart_window: float = 60.0
-    backoff_base: float = 0.2
-    backoff_max: float = 5.0
-    backoff_multiplier: float = 2.0
+    #: Delay before a restart; attempt n is the crash count since the
+    #: last healthy child.  Only the delay fields are read: the crash
+    #: loop is bounded by ``restart_limit``, not ``max_retries``.
+    restart_backoff: RetryPolicy = RetryPolicy(
+        base_delay=0.2, max_delay=5.0, multiplier=2.0, jitter=0.0
+    )
 
     def __post_init__(self) -> None:
         if not self.command:
@@ -196,6 +199,7 @@ class Supervisor:
         (:data:`CRASH_LOOP_EXIT`), or :meth:`stop`."""
         cfg = self.config
         consecutive = 0
+        rng = cfg.restart_backoff.rng()
         while True:
             child = self._spawn()
             outcome, was_healthy = self._watch(child)
@@ -230,8 +234,7 @@ class Supervisor:
                 )
                 return CRASH_LOOP_EXIT
             consecutive = 0 if was_healthy else consecutive + 1
-            backoff = min(cfg.backoff_max,
-                          cfg.backoff_base * cfg.backoff_multiplier ** consecutive)
+            backoff = cfg.restart_backoff.delay(consecutive, rng)
             self.restarts += 1
             self._counter("supervisor_restarts_total")
             if self._stop.wait(backoff):

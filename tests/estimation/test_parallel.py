@@ -303,6 +303,47 @@ def test_budget_stop_is_resumable_through_parallel_path(serial_run, tmp_path):
     assert_same_output(serial_run, resumed)
 
 
+def test_resume_budget_also_governs_the_serial_finish(serial_run, tmp_path):
+    """Units the fleet never landed are finished serially under the
+    budget the resume was given, not the one the campaign started with."""
+    path = str(tmp_path / "cap.jsonl")
+    config = CampaignConfig(seed=11, timeout=5.0, max_repetitions=30)
+    stopped = ParallelCampaign.start(
+        make_recipe(), path, config=config, parallel=ParallelConfig(workers=1),
+    ).run()
+    assert stopped.stopped == "budget_repetitions"
+    # The fresh pool's only worker dies before landing a unit, so every
+    # remaining unit goes to the serial finish.
+    doomed = ChaosKill(worker=len(worker_journal_paths(path)), after_units=0)
+    resumed = ParallelCampaign.resume(
+        make_recipe(), path,
+        parallel=ParallelConfig(workers=1, chaos_kills=(doomed,)),
+        max_repetitions=10**6,
+    ).run()
+    assert resumed.stopped == "complete"
+    assert_same_output(serial_run, resumed)
+
+
+def test_resume_counts_failed_units_against_the_budget(tmp_path):
+    """Attempts spent on failed units count toward the cap on resume, as
+    the status and a serial resume count them: a campaign whose spend
+    already reached its cap stops before starting a pool."""
+    path = str(tmp_path / "failing.jsonl")
+    config = CampaignConfig(seed=11, timeout=1e-9, max_retries=0,
+                            max_repetitions=12)
+    ParallelCampaign.start(
+        make_recipe(), path, config=config, parallel=ParallelConfig(workers=1),
+    ).run()
+    status = campaign_status(path)
+    assert status.completed == 0 and status.failed > 0
+    resumed = ParallelCampaign.resume(
+        make_recipe(), path, parallel=ParallelConfig(workers=1),
+    ).run()
+    assert resumed.stopped == "budget_repetitions"
+    assert resumed.repetitions == status.repetitions
+    assert len(worker_journal_paths(path)) == 1  # no new pool
+
+
 # -- merge semantics -------------------------------------------------------------
 def _shard_set_with_crash(tmp_path):
     path = str(tmp_path / "m.jsonl")
@@ -367,6 +408,21 @@ def test_parallel_status_reports_progress(tmp_path):
     # campaign_status falls through to the shard set when the canonical
     # journal does not exist yet.
     assert campaign_status(path).completed == status.completed
+
+
+def test_status_counts_each_unit_once(tmp_path):
+    """A unit one worker skipped and another measured is measured: the
+    shard set reports each unit by its merged outcome, as merge does."""
+    path = _shard_set_with_crash(tmp_path)
+    shards = worker_journal_paths(path)
+    measured = replay(shards[0]).of_type("experiment_done")[0]["index"]
+    with open(shards[1], "a") as handle:
+        handle.write(json.dumps({
+            "type": "experiment_skipped", "index": measured, "open_nodes": [],
+        }) + "\n")
+    status = parallel_status(path)
+    assert status.skipped == 0
+    assert status.completed + status.failed + len(status.in_flight) <= 36
 
 
 # -- recipes and config ----------------------------------------------------------
@@ -493,6 +549,18 @@ def test_importing_the_api_leaves_the_process_pool_unloaded():
     )
     assert out.stdout.strip() == "False"
 
+
+def test_importing_the_api_leaves_scipy_stats_unloaded():
+    """The Student-t quantile comes from ``scipy.special``, so ``import
+    repro.api`` does not pay for ``scipy.stats`` (about a second)."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    code = "import sys, repro.api; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 @needs_proc

@@ -17,6 +17,7 @@ from repro.cluster import (
 )
 from repro.estimation import (
     AnalyticEngine,
+    CampaignConfig,
     DESEngine,
     EstimationFailure,
     RetryPolicy,
@@ -80,6 +81,25 @@ def test_retry_policy_validation():
         RetryPolicy(backoff=0.5)
     with pytest.raises(ValueError, match="mad_threshold"):
         RetryPolicy(mad_threshold=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"timeout": float("nan")},
+    {"timeout": float("inf")},
+    {"timeout": True},
+    {"backoff": float("nan")},
+    {"backoff": float("inf")},
+    {"mad_threshold": float("nan")},
+    {"max_retries": 2.5},
+])
+def test_retry_policy_is_as_strict_as_the_campaign_config(kwargs):
+    """One validation: a campaign's measurement discipline is a
+    RetryPolicy, so both refuse the same values."""
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        RetryPolicy(**kwargs)
+    with pytest.raises(ValueError, match=name):
+        CampaignConfig(**kwargs)
 
 
 def test_screened_mean_drops_the_spike():

@@ -20,6 +20,8 @@ from repro.cli import main
 
 from tests.serve.conftest import KB, make_model
 
+pytestmark = pytest.mark.resilience
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
@@ -34,20 +36,21 @@ def model_file(tmp_path_factory):
 def daemon(model_file):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(SRC)
-    proc = subprocess.Popen(
+    # The with block closes the pipes once the daemon is gone.
+    with subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
          "--model", f"lmo={model_file}", "--workers", "1"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
-    try:
-        banner = proc.stdout.readline().strip()
-        assert banner.startswith("listening on "), banner
-        host, _, port = banner.removeprefix("listening on ").rpartition(":")
-        yield proc, host, int(port)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait(timeout=30)
+    ) as proc:
+        try:
+            banner = proc.stdout.readline().strip()
+            assert banner.startswith("listening on "), banner
+            host, _, port = banner.removeprefix("listening on ").rpartition(":")
+            yield proc, host, int(port)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=30)
 
 
 def client_args(host, port, verb, params=None):

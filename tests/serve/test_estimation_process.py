@@ -134,7 +134,7 @@ def test_abort_kills_the_child(model):
     children = host.server._estimator.pids
     asyncio.run_coroutine_threadsafe(host.server.abort(),
                                      host._loop).result(timeout=30)
-    host._thread.join(timeout=30)
+    host.stop(timeout=30)
     assert not host._thread.is_alive()
     assert children and not any(running(pid) for pid in children)
 

@@ -33,7 +33,7 @@ def _fast(command, **overrides):
         command=command, port=resolve_port(),
         health_interval=0.05, health_timeout=0.5, startup_grace=0.5,
         restart_limit=3, restart_window=30.0,
-        backoff_base=0.01, backoff_max=0.05,
+        restart_backoff=RetryPolicy(base_delay=0.01, max_delay=0.05, jitter=0.0),
     )
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
@@ -127,7 +127,8 @@ def test_kill9_recovery_restores_registered_models(model_file, tmp_path,
                "--snapshot", snapshot, "--no-telemetry"]
     supervisor = Supervisor(SupervisorConfig(
         command=command, port=port,
-        health_interval=0.1, backoff_base=0.05, backoff_max=0.5,
+        health_interval=0.1,
+        restart_backoff=RetryPolicy(base_delay=0.05, max_delay=0.5, jitter=0.0),
         restart_limit=5, restart_window=60.0,
     ))
     # The child inherits this process's environment; make sure it can

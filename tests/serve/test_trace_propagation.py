@@ -176,7 +176,7 @@ def test_supervisor_injects_traceparent_into_child_environment():
                  + ctx.trace_id + "-') else 7)"],
         port=resolve_port(), health_interval=0.05, health_timeout=0.5,
         startup_grace=0.5, restart_limit=2, restart_window=30.0,
-        backoff_base=0.01, backoff_max=0.05,
+        restart_backoff=RetryPolicy(base_delay=0.01, max_delay=0.05, jitter=0.0),
     )
     with _trace.use(ctx):
         supervisor = Supervisor(config)
