@@ -13,8 +13,8 @@ Three numbers, landing in ``BENCH_insight.json`` at the repo root:
 3. **disabled path** — the analytic guard-cost check from
    ``test_obs_overhead.py``, applied to the new call sites: a simulated
    transfer fires one extra guard (plus one when it escalates), and a
-   ``measure(models=...)``/``record_residuals`` caller adds one guarded
-   monitor hit per pair.  Their summed guard cost must stay under 5% of
+   ``measure(models=...)`` caller adds one guarded monitor hit per
+   pair.  Their summed guard cost must stay under 5% of
    an uninstrumented campaign.
 
 Run with::

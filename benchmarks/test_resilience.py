@@ -123,8 +123,7 @@ def test_availability_and_identity_under_chaos():
         (case, api.predict(model, case[0], case[1], case[2], root=case[3]))
         for case in cases
     ]
-    config = ServeConfig(port=0, models={"lmo": model}, workers=2,
-                         telemetry=False)
+    config = ServeConfig(port=0, models={"lmo": model}, telemetry=False)
     arms = {}
     with ServerThread(config) as host:
         for arm_name, chaos_config in (

@@ -97,8 +97,7 @@ def percentile(values, q):
 
 def test_service_latency_throughput_and_identity():
     model = make_model()
-    config = ServeConfig(port=0, models={"lmo": model}, workers=2,
-                         telemetry=False)
+    config = ServeConfig(port=0, models={"lmo": model}, telemetry=False)
     levels = {}
     with ServerThread(config) as host:
         for clients in CONCURRENCY_LEVELS:

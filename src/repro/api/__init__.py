@@ -26,7 +26,6 @@ facade only composes them and names their results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -79,15 +78,9 @@ from repro.estimation import (
     unmerged_shard_set,
 )
 from repro.models.lmo_extended import ExtendedLMOModel
-from repro.obs import MetricsRegistry, Telemetry
+from repro.obs import Telemetry
 from repro.obs import runtime as _obs_runtime
-from repro.obs.insight import (
-    ResidualMonitor,
-    ResidualRecord,
-    Scorecard,
-    render_scorecards,
-    scorecards as _scorecards,
-)
+from repro.obs.insight import ResidualMonitor
 from repro.optimize.gather_splitting import (
     predict_optimized_gather_sweep,
     split_chunk_counts,
@@ -121,10 +114,8 @@ __all__ = [
     "PredictionBatch",
     "Measurement",
     "EstimateOutcome",
-    "FidelityCheck",
     "GatherOptimization",
     "available_algorithms",
-    "check_fidelity",
     "load_cluster",
     "load_model",
     "save_model",
@@ -447,86 +438,11 @@ def measure(
     )
 
 
-# -- model fidelity -------------------------------------------------------------
 def _named_models(models) -> dict:
     """Accept ``{"name": model}`` or a bare model sequence (auto-labeled)."""
     if isinstance(models, dict):
         return models
     return {model_label(model): model for model in models}
-
-
-@dataclass(frozen=True)
-class FidelityCheck:
-    """Outcome of a streaming fidelity check: records plus scorecards."""
-
-    records: tuple[ResidualRecord, ...]
-    scorecards: tuple[Scorecard, ...]
-
-    def render(self) -> str:
-        return render_scorecards(list(self.scorecards))
-
-    def to_dict(self) -> dict:
-        return {
-            "records": [
-                {
-                    "model": r.model, "operation": r.operation,
-                    "nbytes": r.nbytes, "predicted": r.predicted,
-                    "measured": r.measured, "signed_error": r.signed_error,
-                }
-                for r in self.records
-            ],
-            "scorecards": [card.to_dict() for card in self.scorecards],
-        }
-
-
-def check_fidelity(
-    cluster: SimulatedCluster,
-    models: dict,
-    points: Sequence[tuple[str, str, int]],
-    root: int = 0,
-    max_reps: int = 15,
-    policy: Optional[MeasurementPolicy] = None,
-) -> FidelityCheck:
-    """Measure ``points`` once and score every model's predictions.
-
-    The streaming sibling of :func:`repro.analysis.accuracy.score_models`:
-    each (prediction, measurement) pair flows through a
-    :class:`ResidualMonitor`, so the same aggregates land in the active
-    telemetry session (when on) *and* in the returned scorecards —
-    ``repro obs dashboard`` on the session's snapshot shows exactly what
-    this returns.  ``points`` are (operation, algorithm, nbytes) triples;
-    models lacking a formula for a point skip it.
-    """
-    if not points:
-        raise InvalidRequest("need at least one evaluation point")
-    registry = MetricsRegistry()
-    monitor = ResidualMonitor(registry)
-    live = ResidualMonitor()  # feeds process telemetry too, when enabled
-    records: list[ResidualRecord] = []
-    named = _named_models(models)
-    for operation, algorithm, nbytes in points:
-        measurement = measure(
-            cluster, operation, algorithm, int(nbytes), root=root,
-            max_reps=max_reps, policy=policy,
-        )
-        for name, model in named.items():
-            try:
-                predicted = predict_one(
-                    model, operation, algorithm, float(nbytes), root=root
-                )
-            except KeyError:
-                continue
-            label = f"{operation}/{algorithm}"
-            record = monitor.record(
-                name, label, int(nbytes), predicted, measurement.mean
-            )
-            live.record(name, label, int(nbytes), predicted, measurement.mean)
-            if record is not None:
-                records.append(record)
-    return FidelityCheck(
-        records=tuple(records),
-        scorecards=tuple(_scorecards(registry.snapshot())),
-    )
 
 
 # -- optimization ---------------------------------------------------------------

@@ -30,50 +30,6 @@ class SuiteResult:
 
     points: dict[tuple[str, str, int], BenchmarkPoint] = field(default_factory=dict)
 
-    def predictions(self, model) -> dict[tuple[str, str, int], float]:
-        """Model predictions for every measured point, one batched call.
-
-        Points the model has no formula for (e.g. barrier) are omitted.
-        """
-        from repro.predict_service import PredictRequest, available_algorithms, predict_many
-
-        supported = set(available_algorithms(model))
-        keys = [key for key in self.points if (key[0], key[1]) in supported]
-        requests = [PredictRequest(op, algo, float(m)) for (op, algo, m) in keys]
-        values = predict_many(model, requests)
-        return {key: float(value) for key, value in zip(keys, values)}
-
-    def prediction_errors(self, model) -> dict[tuple[str, str, int], float]:
-        """Relative error |predicted - measured| / measured per point."""
-        return {
-            key: abs(predicted - self.points[key].mean) / self.points[key].mean
-            for key, predicted in self.predictions(model).items()
-            if self.points[key].mean > 0
-        }
-
-    def record_residuals(self, models: dict[str, object]) -> int:
-        """Feed every (prediction, measurement) pair to the residual monitor.
-
-        One batched prediction pass per model; pairs land in the active
-        telemetry session's ``residual_*`` metrics
-        (:mod:`repro.obs.insight.residuals`) keyed by model name and
-        ``operation/algorithm``.  A no-op returning 0 when telemetry is
-        off.  Returns the number of pairs ingested.
-        """
-        from repro.obs.insight.residuals import ResidualMonitor
-
-        monitor = ResidualMonitor()
-        ingested = 0
-        for name, model in models.items():
-            for (op, algo, nbytes), predicted in self.predictions(model).items():
-                record = monitor.record(
-                    name, f"{op}/{algo}", nbytes, predicted,
-                    self.points[(op, algo, nbytes)].mean,
-                )
-                if record is not None:
-                    ingested += 1
-        return ingested
-
     def best_algorithm(self, operation: str, nbytes: int) -> str:
         """The measured winner for one (operation, size)."""
         candidates = {

@@ -646,8 +646,8 @@ def cmd_serve(args) -> int:
 
     config = ServeConfig(
         host=args.host, port=args.port, unix_path=args.unix, models=models,
-        workers=args.workers, batch_window=args.batch_window,
-        queue_limit=args.queue_limit, telemetry=not args.no_telemetry,
+        batch_window=args.batch_window, queue_limit=args.queue_limit,
+        telemetry=not args.no_telemetry,
         snapshot_path=args.snapshot,
     )
 
@@ -683,7 +683,6 @@ def _serve_supervised(args) -> int:
         port = resolve_port(args.host)
     command = [sys.executable, "-m", "repro.cli", "serve",
                "--host", args.host, "--port", str(port),
-               "--workers", str(args.workers),
                "--batch-window", str(args.batch_window),
                "--queue-limit", str(args.queue_limit)]
     if args.unix is not None:
@@ -1114,14 +1113,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--model", action="append", metavar="NAME=PATH",
                          help="preload a model JSON under NAME (repeatable; "
                               "SIGHUP re-reads every file)")
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="predict worker shards (models are routed by "
-                              "fingerprint)")
     p_serve.add_argument("--batch-window", type=float, default=0.002,
                          help="seconds concurrent predicts coalesce over "
                               "(0 = no batching)")
     p_serve.add_argument("--queue-limit", type=int, default=64,
-                         help="per-worker queue bound; beyond it requests "
+                         help="predict queue bound; beyond it requests "
                               "are rejected as `overloaded`")
     p_serve.add_argument("--no-telemetry", action="store_true",
                          help="start without process telemetry (obs verb "

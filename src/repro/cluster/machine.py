@@ -360,7 +360,7 @@ class SimulatedCluster:
         escalation = incast_delay + loss_delay
         tel = _obs.ACTIVE
         if tel is not None:
-            # Size telemetry feeds the online M1/M2 detector
+            # Size telemetry feeds the live M1/M2 estimate
             # (repro.obs.insight.detectors): every transfer's size, plus
             # the sizes of those that ate a *natural* incast escalation.
             tel.registry.histogram(
@@ -486,8 +486,3 @@ class SimulatedCluster:
         self.ground_truth = GroundTruth(
             C=self.ground_truth.C.copy(), t=self.ground_truth.t.copy(), L=L, beta=beta
         )
-
-    # -- convenience -------------------------------------------------------
-    def p2p_model_time(self, src: int, dst: int, nbytes: int) -> float:
-        """The *noise-free, irregularity-free* extended-LMO p2p time."""
-        return self.ground_truth.p2p_time(src, dst, nbytes)

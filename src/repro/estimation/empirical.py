@@ -119,11 +119,6 @@ class ScatterLeap:
     magnitude: float
     baseline_slope: float
 
-    @property
-    def relative_magnitude(self) -> float:
-        """Leap size relative to the local linear trend's step."""
-        return self.magnitude
-
 
 def detect_scatter_leap(sweep: GatherSweep, factor: float = 3.0) -> ScatterLeap:
     """Locate the largest step that breaks the linear trend of a sweep.

@@ -61,7 +61,7 @@ import queue as _queue
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Container, Optional, Sequence
+from typing import Any, Container, NamedTuple, Optional, Sequence
 
 from repro.cluster.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.cluster.machine import SimulatedCluster
@@ -127,6 +127,14 @@ _UnitResult = tuple[int, str, dict[str, float]]
 
 #: How a pool can be lost (the ``reason`` of ``worker_dead`` records).
 _POOL_FAILURES = ("worker_died", "progress_deadline")
+
+
+class _Spent(NamedTuple):
+    """Budget totals, as :func:`_budget_exceeded` reads them."""
+
+    repetitions: float
+    sim_time: float
+    wall_time: float
 
 
 # -- engine recipes --------------------------------------------------------------
@@ -310,6 +318,9 @@ class _Worker:
     worker_id: int
     runner: Campaign
     chaos: Optional[ChaosKill]
+    #: The pool's shared :class:`_Spent` totals (a lock-guarded array of
+    #: doubles), or None when the campaign sets no budget cap.
+    spent: Any = None
     units_done: int = 0
 
 
@@ -324,6 +335,7 @@ def _init_worker(
     header: dict[str, Any],
     config_doc: dict[str, Any],
     next_id: Any,
+    spent: Any,
     chaos_kills: tuple[ChaosKill, ...],
 ) -> None:
     """Pool initializer: claim a worker id, build the engine, open ``path.wK``.
@@ -331,9 +343,11 @@ def _init_worker(
     Units run through the serial :class:`Campaign` unit executor — the
     same measurement, journaling and screening code path — against the
     worker's own write-ahead journal and a worker-local breaker board.
-    Telemetry is disabled in the worker: the coordinator owns the
-    campaign's metrics, and the worker journals are the durable truth.
-    The worker exits when the coordinator (``parent_pid``) dies.
+    ``spent`` is the budget tally every worker of the pool adds its
+    unit costs to (None without a cap).  Telemetry is disabled in the
+    worker: the coordinator owns the campaign's metrics, and the worker
+    journals are the durable truth.  The worker exits when the
+    coordinator (``parent_pid``) dies.
     """
     global _WORKER
     exit_with_parent(parent_pid)
@@ -352,13 +366,18 @@ def _init_worker(
         _ReplayedState(), BreakerBoard(n, policy=config.breaker),
     )
     chaos = next((c for c in chaos_kills if c.worker == worker_id), None)
-    _WORKER = _Worker(worker_id, runner, chaos)
+    _WORKER = _Worker(worker_id, runner, chaos, spent)
 
 
-def _run_group(indices: list[int]) -> tuple[int, list[_UnitResult]]:
+def _run_group(
+    indices: list[int],
+) -> tuple[int, list[_UnitResult], Optional[str]]:
     """Pool task: measure one unit group in this worker.
 
-    Returns the worker id and, per unit, ``(index, outcome, cost)``.
+    Returns the worker id, per unit ``(index, outcome, cost)``, and the
+    budget that stopped the group early (None when every unit ran).
+    The budget is checked against the pool's shared tally before each
+    unit, so a cap stops every worker within one unit of reaching it.
     """
     worker = _WORKER
     assert worker is not None, "_run_group runs in initialized pool workers"
@@ -366,6 +385,10 @@ def _run_group(indices: list[int]) -> tuple[int, list[_UnitResult]]:
     state = runner.state
     results: list[_UnitResult] = []
     for index in indices:
+        if worker.spent is not None:
+            stopped = _budget_exceeded(runner.config, _Spent(*worker.spent[:]))
+            if stopped is not None:
+                return worker.worker_id, results, stopped
         chaos = worker.chaos
         if chaos is not None and worker.units_done >= chaos.after_units:
             # Die mid-unit: the intent record is durably journaled, the
@@ -388,12 +411,18 @@ def _run_group(indices: list[int]) -> tuple[int, list[_UnitResult]]:
             # the way a real OOM-killed worker would, journal intact.
             os._exit(CHAOS_EXIT_CODE)
         worker.units_done += 1
+        cost = _Spent(state.repetitions - before[0], state.sim_time - before[1],
+                      state.wall_time - before[2])
+        if worker.spent is not None:
+            with worker.spent.get_lock():
+                for slot, amount in enumerate(cost):
+                    worker.spent[slot] += amount
         results.append((index, outcome, {
-            "attempts": state.repetitions - before[0],
-            "sim_cost": state.sim_time - before[1],
-            "wall_cost": state.wall_time - before[2],
+            "attempts": cost.repetitions,
+            "sim_cost": cost.sim_time,
+            "wall_cost": cost.wall_time,
         }))
-    return worker.worker_id, results
+    return worker.worker_id, results, None
 
 
 # -- merge -----------------------------------------------------------------------
@@ -748,17 +777,23 @@ class ParallelCampaign:
         )
         existing = _worker_journals(self.path)
         next_id = ctx.Value("i", existing[-1][0] + 1 if existing else 0)
+        cfg = self.config
+        # Without a cap the workers keep no shared tally.
+        capped = any(cap is not None for cap in (
+            cfg.max_repetitions, cfg.max_sim_seconds, cfg.max_wall_seconds))
         while self.pending:
-            reason = _budget_exceeded(self.config, self)
+            reason = _budget_exceeded(cfg, self)
             if reason is not None:
                 return reason
             first_id = next_id.value
+            spent = ctx.Array("d", [self.repetitions, self.sim_time,
+                                    self.wall_time]) if capped else None
             pool = ProcessPoolExecutor(
                 max_workers=min(self.parallel.workers, len(self.pending)),
                 mp_context=ctx,
                 initializer=_init_worker,
                 initargs=(os.getpid(), self.recipe, self.path, self.header,
-                          self.config.to_dict(), next_id,
+                          cfg.to_dict(), next_id, spent,
                           self.parallel.chaos_kills),
             )
             graceful = False
@@ -780,11 +815,13 @@ class ParallelCampaign:
     def _drain(self, pool: Any) -> Optional[str]:
         """Submit every pending group to ``pool`` and land the results.
 
-        Returns None once every group landed, a budget-stop reason, or
-        the way the pool was lost (``worker_died``: a worker process
-        died and broke the pool; ``progress_deadline``: no group landed
-        for :data:`PROGRESS_DEADLINE` seconds).  Exceptions raised by a
-        task are re-raised here.
+        Returns None once every group landed, a budget-stop reason (from
+        the landed totals, or from a worker that stopped its group on the
+        pool's shared tally), or the way the pool was lost
+        (``worker_died``: a worker process died and broke the pool;
+        ``progress_deadline``: no group landed for
+        :data:`PROGRESS_DEADLINE` seconds).  Exceptions raised by a task
+        are re-raised here.
         """
         from concurrent.futures.process import BrokenProcessPool
 
@@ -798,11 +835,11 @@ class ParallelCampaign:
             except _queue.Empty:
                 return "progress_deadline"
             try:
-                worker_id, results = future.result()
+                worker_id, results, stopped = future.result()
             except BrokenProcessPool:
                 return "worker_died"
             self._land(worker_id, results)
-            reason = _budget_exceeded(self.config, self)
+            reason = stopped or _budget_exceeded(self.config, self)
             if reason is not None:
                 return reason
         self.pending = []

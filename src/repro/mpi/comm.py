@@ -24,8 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Generator, Optional, Sequence
 
-import numpy as np
-
 from repro.cluster.machine import SimulatedCluster
 from repro.mpi.requests import Request
 from repro.simlib import Event, Store
@@ -275,10 +273,6 @@ class RankComm:
                 f"rank {self.rank}: expected {reply_nbytes}-byte reply, got {env.nbytes}"
             )
         return env
-
-    def make_payload(self, nbytes: int) -> np.ndarray:
-        """A concrete byte buffer of ``nbytes`` (examples use real data)."""
-        return np.zeros(nbytes, dtype=np.uint8)
 
 
 class GroupComm(RankComm):

@@ -27,6 +27,7 @@ from repro.obs.metrics import bucket_quantile, prometheus_text
 __all__ = [
     "SNAPSHOT_FORMAT",
     "chrome_trace",
+    "count_by_name",
     "render_report",
     "snapshot_prometheus",
     "validate_snapshot",
@@ -155,6 +156,25 @@ def _label_tag(labels: Mapping[str, str]) -> str:
     return "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
 
 
+def count_by_name(
+    doc: Mapping[str, Any],
+) -> tuple[dict[str, int], dict[str, tuple[int, float]]]:
+    """A snapshot's events per name, and its finished spans per name as
+    ``(count, total seconds)``; both sorted by name."""
+    events: dict[str, int] = {}
+    for record in doc.get("events", []):
+        events[record["name"]] = events.get(record["name"], 0) + 1
+    spans: dict[str, tuple[int, float]] = {}
+    for span in doc.get("spans", []):
+        if span.get("end") is None:
+            continue
+        count, total = spans.get(span["name"], (0, 0.0))
+        spans[span["name"]] = (
+            count + 1, total + float(span["end"]) - float(span["start"]),
+        )
+    return dict(sorted(events.items())), dict(sorted(spans.items()))
+
+
 def render_report(doc: Mapping[str, Any]) -> str:
     """One screen of text summarizing a snapshot document."""
     validate_snapshot(doc)
@@ -175,25 +195,17 @@ def render_report(doc: Mapping[str, Any]) -> str:
     else:
         lines.append("metrics: (none)")
 
-    events = doc.get("events", [])
-    by_name: dict[str, int] = {}
-    for record in events:
-        by_name[record["name"]] = by_name.get(record["name"], 0) + 1
-    lines.append(f"events ({len(events)} in ring):")
-    for name in sorted(by_name):
-        lines.append(f"  {name}: {by_name[name]}")
-    if not by_name:
+    events_by_name, spans_by_name = count_by_name(doc)
+    lines.append(f"events ({len(doc.get('events', []))} in ring):")
+    for name, count in events_by_name.items():
+        lines.append(f"  {name}: {count}")
+    if not events_by_name:
         lines.append("  (none)")
 
-    spans = [s for s in doc.get("spans", []) if s.get("end") is not None]
-    totals: dict[str, tuple[int, float]] = {}
-    for span in spans:
-        count, total = totals.get(span["name"], (0, 0.0))
-        totals[span["name"]] = (count + 1, total + float(span["end"]) - float(span["start"]))
-    lines.append(f"spans ({len(spans)} finished):")
-    for name in sorted(totals):
-        count, total = totals[name]
+    finished = sum(count for count, _ in spans_by_name.values())
+    lines.append(f"spans ({finished} finished):")
+    for name, (count, total) in spans_by_name.items():
         lines.append(f"  {name}: {count} x, {total:.4f} s total")
-    if not totals:
+    if not spans_by_name:
         lines.append("  (none)")
     return "\n".join(lines)

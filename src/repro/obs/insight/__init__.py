@@ -9,13 +9,12 @@ telemetry stream:
   measurement) residual monitors with per-model / per-collective /
   per-size-bucket scorecards comparable to
   :mod:`repro.analysis.accuracy`;
-* :mod:`repro.obs.insight.detectors` — online escalation detectors that
-  re-derive the gather irregularity thresholds ``M1``/``M2`` and the
-  escalation value from live transfer telemetry and compare them against
-  the offline :func:`repro.estimation.empirical.detect_gather_irregularity`;
+* :mod:`repro.obs.insight.detectors` — the live gather irregularity:
+  thresholds ``M1``/``M2`` and the escalation value re-derived from
+  transfer telemetry, the online twin of the offline
+  :func:`repro.estimation.empirical.detect_gather_irregularity`;
 * :mod:`repro.obs.insight.alerts` — a declarative alert rules engine
-  over metric snapshots with firing/resolved lifecycle and an optional
-  ``on_fire`` hook;
+  over metric snapshots with a firing/resolved lifecycle;
 * :mod:`repro.obs.insight.dashboard` — one dependency-free HTML
   dashboard plus a terminal summary (``repro obs dashboard`` /
   ``repro obs watch``).
@@ -37,11 +36,7 @@ from repro.obs.insight.dashboard import (
     render_terminal,
     watch,
 )
-from repro.obs.insight.detectors import (
-    Divergence,
-    EscalationDetector,
-    LiveIrregularity,
-)
+from repro.obs.insight.detectors import LiveIrregularity, live_irregularity
 from repro.obs.insight.residuals import (
     BucketScore,
     ResidualMonitor,
@@ -57,14 +52,13 @@ __all__ = [
     "AlertRule",
     "AlertState",
     "BucketScore",
-    "Divergence",
-    "EscalationDetector",
     "LiveIrregularity",
     "ResidualMonitor",
     "ResidualRecord",
     "Scorecard",
     "build_dashboard",
     "default_rules",
+    "live_irregularity",
     "render_html",
     "render_scorecards",
     "render_terminal",

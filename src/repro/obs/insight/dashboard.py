@@ -21,15 +21,20 @@ import json
 import time
 from typing import Any, Callable, Mapping, Optional, Sequence, TextIO
 
-from repro.obs.export import validate_snapshot
-from repro.obs.insight.alerts import AlertEngine, AlertRule
-from repro.obs.insight.detectors import EscalationDetector
+from repro.obs.export import count_by_name, validate_snapshot
+from repro.obs.insight.alerts import AlertEngine
+from repro.obs.insight.detectors import (
+    ESCALATED_METRIC,
+    TRANSFER_METRIC,
+    live_irregularity,
+)
 from repro.obs.insight.residuals import (
     BucketScore,
     Scorecard,
     render_scorecards,
     scorecards,
 )
+from repro.obs.metrics import family_sum
 
 __all__ = [
     "build_dashboard",
@@ -48,23 +53,9 @@ def _fmt_bytes(value: float) -> str:
     return f"{value:.0f} B"
 
 
-def _metric_sum(metrics: Mapping[str, Any], name: str, **labels: str) -> float:
-    family = metrics.get(name)
-    if not family:
-        return 0.0
-    total = 0.0
-    for sample in family.get("samples", ()):
-        got = sample.get("labels", {})
-        if all(str(got.get(k)) == v for k, v in labels.items()):
-            total += float(sample["count"] if family["type"] == "histogram"
-                           else sample["value"])
-    return total
-
-
 def build_dashboard(
     doc: Mapping[str, Any],
     bench: Sequence[tuple[str, Mapping[str, Any]]] = (),
-    rules: Optional[list[AlertRule]] = None,
     engine: Optional[AlertEngine] = None,
     warnings: Sequence[str] = (),
 ) -> dict[str, Any]:
@@ -72,7 +63,7 @@ def build_dashboard(
 
     ``bench`` is ``(name, parsed-json)`` pairs from ``BENCH_*.json``
     files; ``engine`` lets a caller keep firing state across refreshes
-    (``watch``), otherwise a fresh engine evaluates ``rules``;
+    (``watch``), otherwise a fresh engine evaluates the stock rules;
     ``warnings`` are ingest problems (unreadable bench files, …) that
     must surface on the dashboard instead of killing it.
     """
@@ -80,22 +71,17 @@ def build_dashboard(
     metrics = doc.get("metrics", {})
     warnings = list(warnings)
     if engine is None:
-        engine = AlertEngine(rules=rules)
+        engine = AlertEngine()
     alerts = engine.evaluate(metrics)
     cards = scorecards(metrics)
+    live = live_irregularity(metrics)
 
-    detector = EscalationDetector.from_snapshot(metrics)
-    try:
-        irregularity = detector.estimate().to_dict()
-    except ValueError:
-        irregularity = None
-
-    escalations = _metric_sum(metrics, "rto_escalations_total")
-    transfers = _metric_sum(metrics, "sim_transfer_bytes")
-    escalated = _metric_sum(metrics, "sim_escalated_transfer_bytes")
-    coverage = _metric_sum(metrics, "campaign_coverage")
-    open_breakers = _metric_sum(metrics, "breaker_nodes", state="open")
-    drift = _metric_sum(metrics, "maintainer_worst_drift")
+    escalations = family_sum(metrics, "rto_escalations_total")
+    transfers = family_sum(metrics, TRANSFER_METRIC)
+    escalated = family_sum(metrics, ESCALATED_METRIC)
+    coverage = family_sum(metrics, "campaign_coverage")
+    open_breakers = family_sum(metrics, "breaker_nodes", (("state", "open"),))
+    drift = family_sum(metrics, "maintainer_worst_drift")
     pairs = sum(card["count"] for card in (c.to_dict() for c in cards))
     firing = [a for a in alerts if a.firing]
 
@@ -121,17 +107,8 @@ def build_dashboard(
         tiles.append({"label": "ingest warnings", "value": str(len(warnings)),
                       "status": "warning"})
 
-    events = doc.get("events", [])
-    by_event: dict[str, int] = {}
-    for record in events:
-        by_event[record["name"]] = by_event.get(record["name"], 0) + 1
+    events_by_name, spans_by_name = count_by_name(doc)
     spans = [s for s in doc.get("spans", []) if s.get("end") is not None]
-    by_span: dict[str, tuple[int, float]] = {}
-    for span in spans:
-        count, total = by_span.get(span["name"], (0, 0.0))
-        by_span[span["name"]] = (
-            count + 1, total + float(span["end"]) - float(span["start"]),
-        )
 
     # Trace panel: finished spans grouped by the trace id the wire
     # envelope propagated (repro.obs.trace) — one row per distributed
@@ -155,7 +132,7 @@ def build_dashboard(
         "title": "repro model-fidelity observatory",
         "summary": {
             "metric_families": len(metrics),
-            "events": len(events),
+            "events": len(doc.get("events", [])),
             "spans_finished": len(spans),
             "dropped": dict(doc.get("dropped", {})),
         },
@@ -163,11 +140,11 @@ def build_dashboard(
         "warnings": warnings,
         "alerts": [a.to_dict() for a in alerts],
         "scorecards": [c.to_dict() for c in cards],
-        "irregularity": irregularity,
-        "events_by_name": dict(sorted(by_event.items())),
+        "irregularity": live.to_dict() if live is not None else None,
+        "events_by_name": events_by_name,
         "spans_by_name": {
             name: {"count": count, "total_seconds": total}
-            for name, (count, total) in sorted(by_span.items())
+            for name, (count, total) in spans_by_name.items()
         },
         "traces": {tid: by_trace[tid] for tid in sorted(by_trace)},
         "bench": [{"name": name, "data": dict(data)} for name, data in bench],
@@ -240,7 +217,6 @@ def watch(
     count: Optional[int] = None,
     stream: Optional[TextIO] = None,
     sleep: Callable[[float], None] = time.sleep,
-    rules: Optional[list[AlertRule]] = None,
     formatter: Optional[Callable[[Mapping[str, Any]], str]] = None,
 ) -> Optional[dict[str, Any]]:
     """Periodically re-read ``path`` and print the terminal dashboard.
@@ -255,7 +231,7 @@ def watch(
 
     out = stream if stream is not None else sys.stdout
     render = formatter if formatter is not None else render_terminal
-    engine = AlertEngine(rules=rules)
+    engine = AlertEngine()
     data: Optional[dict[str, Any]] = None
     iteration = 0
     while count is None or iteration < count:

@@ -1,24 +1,23 @@
-"""Online escalation detectors: live ``M1``/``M2`` from the telemetry stream.
+"""The live escalation region: ``M1``/``M2`` from the telemetry stream.
 
 The paper's gather irregularity is a *size region*: between ``M1`` and
 ``M2`` a linear-gather transfer non-deterministically eats a TCP RTO
 escalation (~0.2 s).  :func:`repro.estimation.empirical.detect_gather_irregularity`
 finds that region offline, from a dedicated size sweep.  This module
-finds it *online*, from the transfer telemetry every simulated run
+finds it *live*, from the transfer telemetry every simulated run
 already emits:
 
-* ``sim_transfer_bytes`` — every transfer's size (log2 buckets);
+* ``sim_transfer_bytes`` — every transfer's size (log2 buckets,
+  1 B .. 256 MB);
 * ``sim_escalated_transfer_bytes`` — sizes of transfers that ate a
   *natural* (incast) escalation — injected link-loss escalations are
   excluded, they happen at any size and say nothing about the region;
 * ``rto_escalation_seconds`` — the escalation delays themselves.
 
 Per size bucket, escalated/transfers is an escalation-probability
-estimate; the contiguous run of buckets above ``rate_floor`` brackets
-the irregularity region at log2 resolution.  ``compare`` checks the
-live estimate against the offline thresholds and narrates divergence
-into the event log — the "the model's empirical parameters have gone
-stale" signal the maintainer and the alert engine consume.
+estimate; the contiguous run of buckets above :data:`RATE_FLOOR`
+brackets the irregularity region at log2 resolution.  The dashboard
+shows it next to the residual scorecards.
 """
 
 from __future__ import annotations
@@ -26,25 +25,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.obs import runtime as _runtime
-from repro.obs.metrics import bucket_quantile
+from repro.obs.metrics import bucket_quantile, merged_buckets
 
 __all__ = [
     "DELAY_METRIC",
-    "Divergence",
     "ESCALATED_METRIC",
-    "EscalationDetector",
     "LiveIrregularity",
     "TRANSFER_METRIC",
+    "live_irregularity",
 ]
 
 TRANSFER_METRIC = "sim_transfer_bytes"
 ESCALATED_METRIC = "sim_escalated_transfer_bytes"
 DELAY_METRIC = "rto_escalation_seconds"
 
-#: Transfer-size histograms cover 1 B .. 256 MB.
-SIZE_LO = 0
-SIZE_HI = 28
+#: A size bucket escalates when at least this share of its transfers did...
+RATE_FLOOR = 0.02
+#: ...out of at least this many transfers.
+MIN_TRANSFERS = 4
 
 
 @dataclass(frozen=True)
@@ -88,167 +86,44 @@ class LiveIrregularity:
         }
 
 
-@dataclass(frozen=True)
-class Divergence:
-    """One live parameter that disagrees with its offline reference."""
-
-    parameter: str
-    live: float
-    reference: float
-    ratio: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "parameter": self.parameter, "live": self.live,
-            "reference": self.reference, "ratio": self.ratio,
-        }
+def _counts(family: Optional[Mapping[str, Any]]) -> dict[float, int]:
+    """{upper bound: count} of a size histogram's non-empty finite buckets."""
+    return {
+        float(bound): n for bound, n in merged_buckets(family)
+        if bound != "+Inf" and n
+    }
 
 
-class EscalationDetector:
-    """Streaming (or snapshot-fed) estimator of the escalation region.
-
-    ``observe`` is the streaming path; :meth:`from_snapshot` rebuilds the
-    same state from a metrics section, so the detector runs identically
-    on a live session and on a ``--metrics-out`` file.
-    """
-
-    def __init__(self, rate_floor: float = 0.02, min_transfers: int = 4) -> None:
-        if not (0.0 < rate_floor <= 1.0):
-            raise ValueError(f"rate_floor must be in (0, 1], got {rate_floor}")
-        self.rate_floor = rate_floor
-        self.min_transfers = min_transfers
-        #: upper bucket bound -> [transfers, escalated]
-        self._buckets: dict[float, list[int]] = {}
-        self._delays: list[float] = []
-
-    # -- ingestion -----------------------------------------------------------
-    @staticmethod
-    def _upper(nbytes: float) -> float:
-        n = max(1, int(nbytes))
-        upper = 1 << (n - 1).bit_length()
-        return float(min(upper, 1 << SIZE_HI))
-
-    def observe(self, nbytes: float, escalated: bool, delay: float = 0.0) -> None:
-        """Ingest one transfer: its size, whether it escalated, the cost."""
-        slot = self._buckets.setdefault(self._upper(nbytes), [0, 0])
-        slot[0] += 1
-        if escalated:
-            slot[1] += 1
-            if delay > 0:
-                self._delays.append(float(delay))
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        metrics: Mapping[str, Any],
-        rate_floor: float = 0.02,
-        min_transfers: int = 4,
-    ) -> "EscalationDetector":
-        """Rebuild detector state from a metrics snapshot section."""
-        detector = cls(rate_floor=rate_floor, min_transfers=min_transfers)
-        transfers = _bucket_counts(metrics.get(TRANSFER_METRIC))
-        escalated = _bucket_counts(metrics.get(ESCALATED_METRIC))
-        for upper, n in transfers.items():
-            detector._buckets[upper] = [n, escalated.get(upper, 0)]
-        # Escalated sizes whose transfer twin was clipped (shouldn't
-        # happen, but a snapshot is external input): count them anyway.
-        for upper, n in escalated.items():
-            if upper not in detector._buckets:
-                detector._buckets[upper] = [n, n]
-        delay_family = metrics.get(DELAY_METRIC)
-        if delay_family:
-            for sample in delay_family.get("samples", ()):
-                if sample.get("labels", {}).get("cause") not in (None, "incast"):
-                    continue
-                count = int(sample["count"])
-                if count:
-                    detector._delays.append(
-                        bucket_quantile(sample["buckets"], count, 0.50)
-                    )
-        return detector
-
-    # -- estimation ----------------------------------------------------------
-    def rates(self) -> tuple[BucketRate, ...]:
-        return tuple(
-            BucketRate(upper=upper, transfers=slot[0], escalated=slot[1])
-            for upper, slot in sorted(self._buckets.items())
-        )
-
-    def estimate(self) -> LiveIrregularity:
-        """The live irregularity region; raises if nothing escalated yet."""
-        rates = self.rates()
-        escalating = [
-            r for r in rates
-            if r.transfers >= self.min_transfers and r.rate >= self.rate_floor
-        ]
-        if not escalating:
-            raise ValueError(
-                "no escalating size bucket observed yet; need more traffic "
-                "through the irregularity region"
-            )
-        m1 = escalating[0].upper / 2.0
-        m2 = escalating[-1].upper
-        delays = sorted(self._delays)
-        value = delays[len(delays) // 2] if delays else 0.0
-        return LiveIrregularity(
-            m1=m1, m2=m2, escalation_value=value, rates=rates,
-        )
-
-    def compare(
-        self,
-        reference: Any,
-        tolerance: float = 2.0,
-        live: Optional[LiveIrregularity] = None,
-    ) -> list[Divergence]:
-        """Check the live estimate against offline thresholds.
-
-        ``reference`` is anything with ``m1``/``m2``/``escalation_value``
-        attributes (a :class:`repro.models.lmo_extended.GatherIrregularity`).
-        Parameters further than ``tolerance``x apart are divergences,
-        narrated as ``fidelity_divergence`` events when telemetry is on.
-        """
-        if tolerance < 1.0:
-            raise ValueError(f"tolerance is a ratio >= 1, got {tolerance}")
-        if live is None:
-            live = self.estimate()
-        out: list[Divergence] = []
-        for parameter, mine, theirs in (
-            ("m1", live.m1, float(reference.m1)),
-            ("m2", live.m2, float(reference.m2)),
-            ("escalation_value", live.escalation_value,
-             float(reference.escalation_value)),
-        ):
-            lo, hi = sorted((abs(mine), abs(theirs)))
-            ratio = hi / lo if lo > 0 else (1.0 if hi == 0 else float("inf"))
-            if ratio > tolerance:
-                out.append(Divergence(
-                    parameter=parameter, live=mine, reference=theirs, ratio=ratio,
-                ))
-        tel = _runtime.ACTIVE
-        if tel is not None:
-            for div in out:
-                tel.registry.counter(
-                    "fidelity_divergences_total",
-                    "live irregularity parameters out of tolerance",
-                    parameter=div.parameter,
-                ).inc()
-                tel.events.warning(
-                    "fidelity_divergence",
-                    parameter=div.parameter, live=div.live,
-                    reference=div.reference, ratio=div.ratio,
-                )
-        return out
-
-
-def _bucket_counts(family: Optional[Mapping[str, Any]]) -> dict[float, int]:
-    """Merge a histogram family's samples into {upper bound: count}."""
-    out: dict[float, int] = {}
-    if not family:
-        return out
-    for sample in family.get("samples", ()):
-        for bound, n in sample.get("buckets", ()):
-            if bound == "+Inf" or not n:
-                continue
-            upper = float(bound)
-            out[upper] = out.get(upper, 0) + int(n)
-    return out
+def live_irregularity(metrics: Mapping[str, Any]) -> Optional[LiveIrregularity]:
+    """The irregularity region of a snapshot's metrics section, or None
+    while no size bucket escalates."""
+    escalated = _counts(metrics.get(ESCALATED_METRIC))
+    slots = {
+        upper: (n, escalated.get(upper, 0))
+        for upper, n in _counts(metrics.get(TRANSFER_METRIC)).items()
+    }
+    # Escalated sizes whose transfer twin was clipped (shouldn't happen,
+    # but a snapshot is external input): count them anyway.
+    for upper, n in escalated.items():
+        slots.setdefault(upper, (n, n))
+    rates = tuple(
+        BucketRate(upper=upper, transfers=n, escalated=hit)
+        for upper, (n, hit) in sorted(slots.items())
+    )
+    escalating = [
+        r for r in rates if r.transfers >= MIN_TRANSFERS and r.rate >= RATE_FLOOR
+    ]
+    if not escalating:
+        return None
+    delays = []
+    for sample in (metrics.get(DELAY_METRIC) or {}).get("samples", ()):
+        count = int(sample["count"])
+        if count and sample.get("labels", {}).get("cause") in (None, "incast"):
+            delays.append(bucket_quantile(sample["buckets"], count, 0.50))
+    delays.sort()
+    return LiveIrregularity(
+        m1=escalating[0].upper / 2.0,
+        m2=escalating[-1].upper,
+        escalation_value=delays[len(delays) // 2] if delays else 0.0,
+        rates=rates,
+    )

@@ -4,8 +4,8 @@ A *residual* is one (prediction, measurement) pair reduced to its signed
 relative error ``(predicted - measured) / measured`` — the same
 convention as :mod:`repro.analysis.accuracy` (positive = pessimistic,
 negative = optimistic).  :class:`ResidualMonitor` ingests pairs from
-``api.measure``, the benchlib suite and maintainer spot-checks, and
-folds them into the ordinary metrics registry:
+``api.measure(models=...)`` and maintainer spot-checks, and folds them
+into the ordinary metrics registry:
 
 * ``residual_abs_error`` — histogram of |signed error| per
   (model, operation, bucket), giving count / mean / p50 / p95 through
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.obs import runtime as _runtime
-from repro.obs.metrics import MetricsRegistry, bucket_quantile
+from repro.obs.metrics import MetricsRegistry, bucket_quantile, merged_buckets
 
 __all__ = [
     "ABS_ERROR_METRIC",
@@ -193,26 +193,6 @@ class Scorecard:
         }
 
 
-def _merge_buckets(samples: list[Mapping[str, Any]]) -> list[list[Any]]:
-    """Sum per-bucket counts across histogram samples (same fixed bounds)."""
-    merged: list[list[Any]] = []
-    for sample in samples:
-        if not merged:
-            merged = [[bound, 0] for bound, _ in sample["buckets"]]
-        for slot, (_, n) in zip(merged, sample["buckets"]):
-            slot[1] += n
-    return merged
-
-
-def _gauge_value(family: Optional[Mapping[str, Any]], labels: Mapping[str, str]) -> float:
-    if not family:
-        return 0.0
-    for sample in family.get("samples", ()):
-        if sample.get("labels", {}) == dict(labels):
-            return float(sample["value"])
-    return 0.0
-
-
 def scorecards(metrics: Mapping[str, Any]) -> list[Scorecard]:
     """Rebuild every scorecard from a metrics snapshot section.
 
@@ -228,9 +208,16 @@ def scorecards(metrics: Mapping[str, Any]) -> list[Scorecard]:
         labels = sample.get("labels", {})
         key = (str(labels.get("model", "")), str(labels.get("operation", "")))
         grouped.setdefault(key, []).append(sample)
+    # Each gauge family read once, keyed by child: looking a bucket up
+    # with family_sum would rescan the family for every bucket.
+    signed, worst = (
+        {
+            tuple(sorted(sample.get("labels", {}).items())): float(sample["value"])
+            for sample in (metrics.get(name) or {}).get("samples", ())
+        }
+        for name in (SIGNED_SUM_METRIC, MAX_ERROR_METRIC)
+    )
 
-    signed_family = metrics.get(SIGNED_SUM_METRIC)
-    max_family = metrics.get(MAX_ERROR_METRIC)
     cards: list[Scorecard] = []
     for (model, operation), samples in sorted(grouped.items()):
         bucket_scores: list[BucketScore] = []
@@ -241,22 +228,20 @@ def scorecards(metrics: Mapping[str, Any]) -> list[Scorecard]:
             count = int(sample["count"])
             if count == 0:
                 continue
-            signed_sum = _gauge_value(signed_family, labels)
+            child = tuple(sorted(labels.items()))
             bucket_scores.append(BucketScore(
                 bucket=str(labels.get("bucket", "")),
                 count=count,
                 mean_abs_error=float(sample["sum"]) / count,
-                bias=signed_sum / count,
+                bias=signed.get(child, 0.0) / count,
                 p50=bucket_quantile(sample["buckets"], count, 0.50),
                 p95=bucket_quantile(sample["buckets"], count, 0.95),
-                max_abs_error=_gauge_value(
-                    max_family, {**labels}
-                ),
+                max_abs_error=worst.get(child, 0.0),
             ))
         if not bucket_scores:
             continue
         total = sum(b.count for b in bucket_scores)
-        merged = _merge_buckets(samples)
+        merged = merged_buckets({"samples": samples})
         cards.append(Scorecard(
             model=model,
             operation=operation,

@@ -36,6 +36,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "bucket_quantile",
+    "family_sum",
+    "merged_buckets",
     "prometheus_text",
 ]
 
@@ -117,29 +119,6 @@ class Histogram:
         self.sum += value
         self.count += 1
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        holding the q-th observation; +inf when it lands above 2**hi)."""
-        if not (0.0 <= q <= 1.0):
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return float("nan")
-        rank = q * self.count
-        seen = 0
-        for idx, n in enumerate(self.bucket_counts):
-            seen += n
-            if seen >= rank and n:
-                return self.bounds[idx] if idx < len(self.bounds) else float("inf")
-        return float("inf")
-
-    def quantile_interpolated(self, q: float) -> float:
-        """Linearly interpolated quantile (Prometheus ``histogram_quantile``
-        semantics) — see :func:`bucket_quantile`."""
-        buckets = [
-            [bound, count] for bound, count in zip(self.bounds, self.bucket_counts)
-        ] + [["+Inf", self.bucket_counts[-1]]]
-        return bucket_quantile(buckets, self.count, q)
-
 
 def bucket_quantile(buckets: Sequence[Sequence[Any]], count: int, q: float) -> float:
     """Interpolated quantile from snapshot-form buckets.
@@ -172,6 +151,51 @@ def bucket_quantile(buckets: Sequence[Sequence[Any]], count: int, q: float) -> f
         seen += n
         lower = upper
     return lower
+
+
+def _labels_include(sample: Mapping[str, Any], labels: Iterable[tuple[str, str]]) -> bool:
+    got = sample.get("labels", {})
+    return all(str(got.get(key)) == value for key, value in labels)
+
+
+def family_sum(
+    metrics: Mapping[str, Any], name: str, labels: Sequence[tuple[str, str]] = (),
+) -> float:
+    """Sum over one family of a snapshot's metrics section.
+
+    Samples count when their labels include every ``(key, value)`` of
+    ``labels``.  Histogram samples add their observation counts; counter
+    and gauge samples add their values.  An absent family reads 0.
+    """
+    family = metrics.get(name)
+    if not family:
+        return 0.0
+    key = "count" if family["type"] == "histogram" else "value"
+    return sum((
+        float(sample[key]) for sample in family.get("samples", ())
+        if _labels_include(sample, labels)
+    ), 0.0)
+
+
+def merged_buckets(
+    family: Optional[Mapping[str, Any]], labels: Sequence[tuple[str, str]] = (),
+) -> list[list[Any]]:
+    """Per-bucket counts of a histogram family, added across its samples
+    whose labels include ``labels``.
+
+    Returns the snapshot form ``[[bound, n], ..., ["+Inf", n]]`` that
+    :func:`bucket_quantile` reads, or ``[]`` when no sample matches.
+    All samples of a family share one bucket layout.
+    """
+    merged: list[list[Any]] = []
+    for sample in (family or {}).get("samples", ()):
+        if not _labels_include(sample, labels):
+            continue
+        if not merged:
+            merged = [[bound, 0] for bound, _ in sample["buckets"]]
+        for slot, (_, n) in zip(merged, sample["buckets"]):
+            slot[1] += int(n)
+    return merged
 
 
 class _Family:

@@ -110,8 +110,8 @@ def model_label(model) -> str:
     ``<class>:<fingerprint prefix>`` — distinct parameter values get
     distinct labels, so residual scorecards keyed on it never mix a
     re-estimated model with its predecessor.  Used by
-    :func:`repro.api.measure`/:func:`repro.api.check_fidelity` when the
-    caller passes models without naming them.
+    :func:`repro.api.measure` when the caller passes models without
+    naming them.
     """
     return f"{type(model).__name__}:{model_fingerprint(model)[:8]}"
 

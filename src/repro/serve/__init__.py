@@ -14,7 +14,8 @@ Layout:
   response lines, line-size limit, verb table, CRC-32 integrity stamps,
   the ``deadline_ms`` / ``idempotency_key`` resilience envelope;
 * :mod:`~repro.serve.service` — stateful worker tasks (bounded queues,
-  coalescing predict batches, threaded estimation, deadline shedding);
+  coalescing predict batches, estimation in a low-priority child
+  process, deadline shedding);
 * :mod:`~repro.serve.server` — the daemon: routing, model registry
   (with a crash-safe snapshot), idempotent retry dedup, SIGHUP reload,
   graceful drain, telemetry;
@@ -40,13 +41,7 @@ from repro.serve.client import (
 )
 from repro.serve.protocol import MAX_LINE_BYTES, VERBS, WireError
 from repro.serve.runner import ServerThread
-from repro.serve.server import (
-    ModelRegistry,
-    PredictionServer,
-    ServeConfig,
-    run_server,
-    serve,
-)
+from repro.serve.server import ModelRegistry, PredictionServer, ServeConfig
 from repro.serve.supervisor import (
     CRASH_LOOP_EXIT,
     Supervisor,
@@ -72,6 +67,4 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "WireError",
-    "run_server",
-    "serve",
 ]

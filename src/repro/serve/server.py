@@ -4,11 +4,11 @@
 NDJSON protocol of :mod:`repro.serve.protocol`, and routes queued verbs
 onto the stateful workers of :mod:`repro.serve.service`:
 
-* ``predict`` / ``predict_many`` / ``optimize`` go to one of
-  ``config.workers`` :class:`PredictWorker` shards, chosen by the target
-  model's content fingerprint — one model's requests always meet in the
-  same queue, where concurrent ``predict`` calls coalesce into one
-  vectorized evaluation;
+* ``predict`` / ``predict_many`` / ``optimize`` go to the one
+  :class:`PredictWorker`, whose queue coalesces concurrent ``predict``
+  calls into one vectorized evaluation per model (every worker is a
+  task on this event loop, so more of them would not evaluate in
+  parallel);
 * ``estimate`` goes to the single :class:`EstimateWorker` (bounded to a
   few queued estimations; estimation runs in a child process at a
   lower CPU priority, and the model is registered here);
@@ -57,7 +57,6 @@ from repro.api.schema import SCHEMA_VERSION
 from repro.obs import runtime as _obs
 from repro.obs import trace as _trace
 from repro.obs.insight.alerts import AlertEngine
-from repro.predict_service import model_fingerprint
 from repro.serve import protocol
 from repro.serve.service import (
     CREATED,
@@ -70,7 +69,7 @@ from repro.serve.service import (
     WorkItem,
 )
 
-__all__ = ["ModelRegistry", "PredictionServer", "ServeConfig", "run_server", "serve"]
+__all__ = ["ModelRegistry", "PredictionServer", "ServeConfig"]
 
 
 @dataclass
@@ -85,12 +84,10 @@ class ServeConfig:
     unix_path: Optional[str] = None
     #: name -> model JSON path (reloadable on SIGHUP) or model object.
     models: Mapping[str, Any] = field(default_factory=dict)
-    #: Predict worker shards.
-    workers: int = 2
-    #: Seconds the predict shard waits after the first request for
+    #: Seconds the predict worker waits after the first request for
     #: concurrent ones to coalesce with (0 disables batching).
     batch_window: float = 0.002
-    #: Per-predict-worker queue bound; beyond it: ``overloaded``.
+    #: Predict worker queue bound; beyond it: ``overloaded``.
     queue_limit: int = 64
     #: Queued estimations bound (each can take minutes).
     estimate_queue_limit: int = 4
@@ -239,7 +236,7 @@ class PredictionServer:
         #: idempotency key -> the future answering that logical call.
         #: Retried requests attach to it instead of re-executing.
         self._idempotent: "OrderedDict[str, asyncio.Future]" = OrderedDict()
-        self._workers: list[PredictWorker] = []
+        self._predictor: Optional[PredictWorker] = None
         self._estimator: Optional[EstimateWorker] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set[asyncio.StreamWriter] = set()
@@ -271,11 +268,9 @@ class PredictionServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._stopped = asyncio.Event()
-        self._workers = [
-            PredictWorker(f"predict-{i}", self.config.queue_limit,
-                          self.config.batch_window)
-            for i in range(max(1, self.config.workers))
-        ]
+        self._predictor = PredictWorker(
+            "predict", self.config.queue_limit, self.config.batch_window
+        )
         self._estimator = EstimateWorker(
             "estimate", self.registry, self.config.estimate_queue_limit
         )
@@ -305,7 +300,7 @@ class PredictionServer:
                 fields["trace_id"] = self._boot_trace.trace_id
             tel.events.info(
                 "service_started", endpoint=self.endpoint, models=count,
-                workers=len(self._workers), **fields,
+                **fields,
             )
 
     @property
@@ -417,10 +412,7 @@ class PredictionServer:
         future.add_done_callback(_settle)
 
     def _all_workers(self) -> list[StatefulWorker]:
-        workers: list[StatefulWorker] = list(self._workers)
-        if self._estimator is not None:
-            workers.append(self._estimator)
-        return workers
+        return [w for w in (self._predictor, self._estimator) if w is not None]
 
     def _install_signal_handlers(self) -> None:
         loop = asyncio.get_running_loop()
@@ -583,8 +575,8 @@ class PredictionServer:
             model = None
         else:  # predict / predict_many / optimize
             model = self.registry.get(request.params.get("model"))
-            shard = int(model_fingerprint(model), 16) % len(self._workers)
-            worker = self._workers[shard]
+            assert self._predictor is not None
+            worker = self._predictor
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         if key is not None:
             self._remember(key, future)
@@ -646,28 +638,5 @@ class PredictionServer:
             "telemetry": snapshot,
             "alerts": [state.to_dict() for state in states],
             "firing": self._alerts.firing(),
-            "alerts_engine": self._alerts.to_dict(),
         }
 
-
-async def run_server(config: ServeConfig) -> PredictionServer:
-    """Start a server and block until it drains; returns the server.
-
-    Exits that bypass the graceful drain — a cancelled task, an
-    exception escaping the loop — still clean up: the listener closes
-    and the Unix socket is unlinked (:meth:`PredictionServer.abort`), so
-    a crashed daemon never leaves a stale socket a restart trips over.
-    """
-    server = PredictionServer(config)
-    await server.start()
-    try:
-        await server.serve_forever()
-    finally:
-        if server.state != STOPPED:
-            await server.abort()
-    return server
-
-
-def serve(config: ServeConfig) -> None:
-    """Synchronous entry point (the ``repro serve`` command)."""
-    asyncio.run(run_server(config))

@@ -18,8 +18,8 @@ Two worker types:
   vectorized paths share one formula evaluation
   (:mod:`repro.predict_service`), so a batched reply is bit-identical
   to an in-process :func:`repro.api.predict` — determinism is tested,
-  not hoped for.  The server shards these workers by model fingerprint,
-  so one model's requests always meet in the same queue and coalesce.
+  not hoped for.  The server runs one, so every predict meets every
+  other in the same queue.
 * :class:`EstimateWorker` — expensive simulation-driven estimation,
   run in one long-lived child process (see :class:`EstimateWorker`),
   so a running estimation shares neither the event loop's GIL nor, at

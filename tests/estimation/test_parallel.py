@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import io as model_io
 from repro.cluster import GroundTruth, NoiseModel, SimulatedCrash
 from repro.estimation import (
     AnalyticEngineRecipe,
@@ -301,6 +302,39 @@ def test_budget_stop_is_resumable_through_parallel_path(serial_run, tmp_path):
     ).run()
     assert resumed.stopped == "complete"
     assert_same_output(serial_run, resumed)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_budget_stops_every_worker_within_one_unit(tmp_path, workers):
+    """A cap stops the whole pool, not only the coordinator: each worker
+    checks the pool's shared tally before every unit, so a stopped run
+    spends at most one unit per worker past the cap - and resuming it
+    still writes the serial run's model.  Four workers on a small host
+    also stress the tally's locked updates: a lost one lets the pool
+    run past the bound."""
+    gt = GroundTruth.random(6, seed=2)
+    recipe = AnalyticEngineRecipe(
+        gt, noise=NoiseModel(rel_sigma=0.05, spike_prob=0.0), seed=0
+    )
+    cap = 200
+    path = str(tmp_path / "capped.jsonl")
+    config = CampaignConfig(seed=11, timeout=5.0, max_repetitions=cap)
+    stopped = ParallelCampaign.start(
+        recipe, path, config=config, parallel=ParallelConfig(workers=workers),
+    ).run()
+    assert stopped.stopped == "budget_repetitions"
+    bound = cap - 1 + workers * (config.reps + config.max_retries)
+    assert cap <= stopped.repetitions <= bound
+    assert campaign_status(path).repetitions == stopped.repetitions
+    resumed = ParallelCampaign.resume(
+        recipe, path, parallel=ParallelConfig(workers=workers),
+        max_repetitions=10**6,
+    ).run()
+    serial = Campaign.start(
+        recipe.build(), str(tmp_path / "serial.jsonl"), CONFIG
+    ).run()
+    assert resumed.stopped == serial.stopped == "complete"
+    assert model_io.dumps(resumed.model) == model_io.dumps(serial.model)
 
 
 def test_resume_budget_also_governs_the_serial_finish(serial_run, tmp_path):

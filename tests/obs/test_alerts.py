@@ -1,7 +1,5 @@
 """Unit tests for the declarative alert rules engine."""
 
-import json
-
 import pytest
 
 from repro.obs import runtime as _obs
@@ -107,15 +105,13 @@ def test_lifecycle_fires_once_and_resolves_once():
     quiet_reg.gauge("x").set(0)
     rule = AlertRule(name="x_high", kind="metric_value", metric="x",
                      threshold=5.0, level="error")
-    fired = []
-    engine = AlertEngine(rules=[rule], on_fire=lambda r, v: fired.append((r.name, v)))
+    engine = AlertEngine(rules=[rule])
     tel = _obs.enable(fresh=True)
     engine.evaluate(firing_reg.snapshot())
     engine.evaluate(firing_reg.snapshot())  # still firing: no re-fire
     engine.evaluate(quiet_reg.snapshot())   # falling edge: resolved
     engine.evaluate(quiet_reg.snapshot())
     engine.evaluate(firing_reg.snapshot())  # rising edge again
-    assert fired == [("x_high", 10.0), ("x_high", 10.0)]
     assert tel.registry.value("alerts_fired_total", rule="x_high") == 2
     firing_events = tel.events.events("alert_firing")
     resolved_events = tel.events.events("alert_resolved")
@@ -123,6 +119,7 @@ def test_lifecycle_fires_once_and_resolves_once():
     assert len(resolved_events) == 1
     assert firing_events[0]["level"] == "error"
     assert firing_events[0]["rule"] == "x_high"
+    assert [e["value"] for e in firing_events] == [10.0, 10.0]
     assert resolved_events[0]["level"] == "info"
     assert engine.firing() == ["x_high"]
 
@@ -136,63 +133,6 @@ def test_engine_works_with_telemetry_off():
     assert engine.firing() == ["x_high"]
 
 
-def test_metric_absent_rule_lifecycle():
-    rule = AlertRule(name="gone", kind="metric_absent",
-                     metric="service_requests_total",
-                     threshold=3.0, op=">=", level="error")
-    engine = AlertEngine(rules=[rule])
-    reg = MetricsRegistry()
-
-    # Never reported: never stale (campaign-only processes stay quiet).
-    for _ in range(5):
-        (state,) = engine.evaluate(reg.snapshot())
-        assert state.value == 0.0 and not state.firing
-
-    counter = reg.counter("service_requests_total", outcome="ok")
-    counter.inc()
-    (state,) = engine.evaluate(reg.snapshot())
-    assert state.value == 0.0
-
-    # Frozen total: the streak builds up and fires at 3.
-    for expected in (1.0, 2.0):
-        (state,) = engine.evaluate(reg.snapshot())
-        assert state.value == expected and not state.firing
-    (state,) = engine.evaluate(reg.snapshot())
-    assert state.value == 3.0 and state.firing
-
-    # New activity resets the streak and resolves.
-    counter.inc()
-    (state,) = engine.evaluate(reg.snapshot())
-    assert state.value == 0.0 and not state.firing
-
-
-def test_engine_state_round_trips_through_dict():
-    rules = [
-        AlertRule(name="x_high", kind="metric_value", metric="x", threshold=5.0),
-        AlertRule(name="x_absent", kind="metric_absent", metric="x",
-                  threshold=2.0, op=">="),
-    ]
-    engine = AlertEngine(rules=rules)
-    reg = MetricsRegistry()
-    reg.gauge("x").set(10)
-    engine.evaluate(reg.snapshot())
-    engine.evaluate(reg.snapshot())
-    assert engine.firing() == ["x_high"]  # mid-incident, one stale evaluation
-
-    doc = json.loads(json.dumps(engine.to_dict()))  # through JSON
-    fired = []
-    resumed = AlertEngine.from_dict(
-        doc, on_fire=lambda rule, value: fired.append(rule.name))
-    assert resumed.firing() == engine.firing()
-    assert [r.name for r in resumed.rules] == [r.name for r in engine.rules]
-
-    # Still firing on the next evaluation: no re-fire transition, and the
-    # staleness streak carries on from where it was.
-    states = resumed.evaluate(reg.snapshot())
-    assert fired == ["x_absent"]
-    assert [s.value for s in states] == [10.0, 2.0]
-
-
 def test_default_rules_catalog():
     rules = default_rules()
     names = [r.name for r in rules]
@@ -200,8 +140,7 @@ def test_default_rules_catalog():
                      "model_drift_high", "residual_p95_high",
                      "units_reclaimed_high",
                      "service_queue_depth_high", "service_p99_latency_high",
-                     "service_crash_loop", "service_deadline_shed_high",
-                     "service_requests_absent"]
+                     "service_crash_loop", "service_deadline_shed_high"]
     assert len(set(names)) == len(names)
     assert all(r.description for r in rules)
     # The stock set evaluates cleanly against an empty snapshot.

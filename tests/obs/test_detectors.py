@@ -1,159 +1,61 @@
-"""Unit tests for the online escalation detector (live M1/M2)."""
-
-from dataclasses import dataclass
+"""Unit tests for the live escalation region (live M1/M2)."""
 
 import pytest
 
-from repro.obs import runtime as _obs
 from repro.obs.insight.detectors import (
     DELAY_METRIC,
     ESCALATED_METRIC,
-    SIZE_HI,
-    SIZE_LO,
     TRANSFER_METRIC,
-    EscalationDetector,
+    live_irregularity,
 )
 from repro.obs.metrics import MetricsRegistry
 
 
-@dataclass(frozen=True)
-class FakeIrregularity:
-    m1: float
-    m2: float
-    escalation_value: float
+def _transfers(reg, nbytes, count, escalated=0):
+    """``count`` transfers of ``nbytes``, the first ``escalated`` of which
+    ate a natural escalation — the machine layer's instrumentation."""
+    for i in range(count):
+        reg.histogram(TRANSFER_METRIC, lo=0, hi=28).observe(nbytes)
+        if i < escalated:
+            reg.histogram(ESCALATED_METRIC, lo=0, hi=28).observe(nbytes)
 
 
-def _feed(detector):
+def _region_registry():
     """Traffic with an escalation region over the (8K, 64K] buckets."""
-    for _ in range(10):
-        detector.observe(1024, escalated=False)
-    for i in range(10):
-        detector.observe(16384, escalated=i < 3, delay=0.21)
-    for i in range(8):
-        detector.observe(65536, escalated=i < 4, delay=0.25)
-    for _ in range(10):
-        detector.observe(262144, escalated=False)
-
-
-def test_streaming_estimate_brackets_the_region():
-    detector = EscalationDetector()
-    _feed(detector)
-    live = detector.estimate()
-    # First escalating bucket is (8192, 16384]: M1 = its lower edge.
-    assert live.m1 == 8192.0
-    assert live.m2 == 65536.0
-    assert live.escalation_value == pytest.approx(0.25)  # median delay
-    rates = {r.upper: r.rate for r in live.rates}
-    assert rates[1024.0] == 0.0
-    assert rates[16384.0] == pytest.approx(0.3)
-    assert rates[65536.0] == pytest.approx(0.5)
-
-
-def test_estimate_raises_until_something_escalates():
-    detector = EscalationDetector()
-    for _ in range(20):
-        detector.observe(4096, escalated=False)
-    with pytest.raises(ValueError, match="no escalating size bucket"):
-        detector.estimate()
-
-
-def test_min_transfers_gates_noisy_buckets():
-    detector = EscalationDetector(min_transfers=4)
-    _feed(detector)
-    # One lone escalated transfer in a huge bucket must not widen M2.
-    detector.observe(8 << 20, escalated=True, delay=0.2)
-    assert detector.estimate().m2 == 65536.0
-
-
-def test_rate_floor_validation():
-    with pytest.raises(ValueError, match="rate_floor"):
-        EscalationDetector(rate_floor=0.0)
-    with pytest.raises(ValueError, match="rate_floor"):
-        EscalationDetector(rate_floor=1.5)
-
-
-def _snapshot_registry():
-    """A registry shaped like the machine-layer instrumentation output."""
     reg = MetricsRegistry()
-    transfers = reg.histogram(TRANSFER_METRIC, lo=SIZE_LO, hi=SIZE_HI)
-    escalated = reg.histogram(ESCALATED_METRIC, lo=SIZE_LO, hi=SIZE_HI)
-    for _ in range(10):
-        transfers.observe(1024)
-    for i in range(10):
-        transfers.observe(16384)
-        if i < 3:
-            escalated.observe(16384)
-    for i in range(8):
-        transfers.observe(65536)
-        if i < 4:
-            escalated.observe(65536)
-    for _ in range(10):
-        transfers.observe(262144)
+    _transfers(reg, 1024, 10)
+    _transfers(reg, 16384, 10, escalated=3)
+    _transfers(reg, 65536, 8, escalated=4)
+    _transfers(reg, 262144, 10)
     reg.histogram(DELAY_METRIC, cause="incast").observe(0.21)
     # Injected-fault escalations must not contaminate the delay estimate.
     reg.histogram(DELAY_METRIC, cause="loss").observe(30.0)
     return reg
 
 
-def test_from_snapshot_matches_streaming_state():
-    streaming = EscalationDetector()
-    _feed(streaming)
-    rebuilt = EscalationDetector.from_snapshot(_snapshot_registry().snapshot())
-    live_s, live_r = streaming.estimate(), rebuilt.estimate()
-    assert live_r.m1 == live_s.m1
-    assert live_r.m2 == live_s.m2
-    assert [r.to_dict() for r in live_r.rates] == [r.to_dict() for r in live_s.rates]
-    # Snapshot delays come back at bucket resolution (p50-interpolated):
-    # within 2x of the streaming median, and nowhere near the 30 s loss.
-    assert 0.1 <= live_r.escalation_value <= 0.42
+def test_streaming_estimate_brackets_the_region():
+    live = live_irregularity(_region_registry().snapshot())
+    # First escalating bucket is (8192, 16384]: M1 = its lower edge.
+    assert live.m1 == 8192.0
+    assert live.m2 == 65536.0
+    # The 0.21 s incast delay, interpolated to the middle of its
+    # (0.125, 0.25] bucket; the 30 s loss delay is left out.
+    assert live.escalation_value == pytest.approx(0.1875)
+    rates = {r.upper: r.rate for r in live.rates}
+    assert rates[1024.0] == 0.0
+    assert rates[16384.0] == pytest.approx(0.3)
+    assert rates[65536.0] == pytest.approx(0.5)
 
 
-def test_compare_passes_within_tolerance():
-    detector = EscalationDetector()
-    _feed(detector)
-    reference = FakeIrregularity(m1=13000.0, m2=80000.0, escalation_value=0.2)
-    assert detector.compare(reference, tolerance=2.0) == []
+def test_estimate_is_none_until_something_escalates():
+    reg = MetricsRegistry()
+    assert live_irregularity(reg.snapshot()) is None
+    _transfers(reg, 4096, 20)
+    assert live_irregularity(reg.snapshot()) is None
 
 
-def test_compare_flags_divergent_parameters():
-    detector = EscalationDetector()
-    _feed(detector)
-    reference = FakeIrregularity(m1=1024.0, m2=65536.0, escalation_value=0.2)
-    divergences = detector.compare(reference, tolerance=2.0)
-    assert [d.parameter for d in divergences] == ["m1"]
-    assert divergences[0].live == 8192.0
-    assert divergences[0].reference == 1024.0
-    assert divergences[0].ratio == pytest.approx(8.0)
-    with pytest.raises(ValueError, match="tolerance"):
-        detector.compare(reference, tolerance=0.5)
-
-
-def test_compare_narrates_divergence_into_telemetry():
-    detector = EscalationDetector()
-    _feed(detector)
-    reference = FakeIrregularity(m1=1024.0, m2=1_000_000.0, escalation_value=10.0)
-    tel = _obs.enable(fresh=True)
-    divergences = detector.compare(reference)
-    assert {d.parameter for d in divergences} == {"m1", "m2", "escalation_value"}
-    assert tel.registry.total("fidelity_divergences_total") == 3
-    events = tel.events.events("fidelity_divergence")
-    assert len(events) == 3
-    assert all(e["level"] == "warning" for e in events)
-    assert {e["parameter"] for e in events} == {"m1", "m2", "escalation_value"}
-
-
-def test_compare_handles_zero_reference():
-    detector = EscalationDetector()
-    _feed(detector)
-    reference = FakeIrregularity(m1=0.0, m2=65536.0, escalation_value=0.21)
-    divergences = detector.compare(reference, tolerance=2.0)
-    m1 = [d for d in divergences if d.parameter == "m1"]
-    assert len(m1) == 1 and m1[0].ratio == float("inf")
-
-
-def test_observe_clips_to_the_size_range():
-    detector = EscalationDetector(min_transfers=1)
-    for _ in range(4):
-        detector.observe(float(1 << 40), escalated=True, delay=0.2)
-    live = detector.estimate()
-    assert live.m2 == float(1 << SIZE_HI)
+def test_min_transfers_gates_noisy_buckets():
+    reg = _region_registry()
+    # One lone escalated transfer in a huge bucket must not widen M2.
+    _transfers(reg, 8 << 20, 1, escalated=1)
+    assert live_irregularity(reg.snapshot()).m2 == 65536.0

@@ -278,31 +278,6 @@ def test_api_measure_feeds_residual_monitor():
     assert cards[0].count == 1
 
 
-def test_suite_record_residuals_feeds_monitor_per_point():
-    from repro.benchlib import BenchmarkSuite
-    from repro.obs.insight import scorecards
-    from repro.stats import MeasurementPolicy
-
-    cluster = quiet_cluster()
-    import repro.api as api
-
-    model = api.estimate(cluster, "lmo", quick=True).model
-    suite = BenchmarkSuite(cluster, policy=MeasurementPolicy(min_reps=2, max_reps=2))
-    result = suite.run(operations=["scatter"], sizes=[KB])
-
-    # Telemetry off: a silent no-op.
-    assert _obs.ACTIVE is None
-    assert result.record_residuals({"lmo": model}) == 0
-
-    tel = _obs.enable(fresh=True)
-    ingested = result.record_residuals({"lmo": model})
-    assert ingested == len(result.predictions(model))
-    cards = scorecards(tel.registry.snapshot())
-    assert {c.operation for c in cards} == {
-        f"scatter/{algo}" for (_op, algo, _n) in result.predictions(model)
-    }
-
-
 def test_maintainer_spot_checks_feed_residuals():
     from repro.obs.insight.residuals import ABS_ERROR_METRIC
 

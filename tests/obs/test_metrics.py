@@ -10,6 +10,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     bucket_quantile,
+    family_sum,
+    merged_buckets,
     prometheus_text,
 )
 
@@ -96,17 +98,6 @@ def test_histogram_log2_buckets_and_overflow():
         h.observe(float("nan"))
 
 
-def test_histogram_quantile_is_bucket_resolution():
-    h = Histogram(lo=-2, hi=2)
-    for v in [0.2, 0.2, 0.2, 3.0]:
-        h.observe(v)
-    assert h.quantile(0.5) == 0.25   # upper bound of the holding bucket
-    assert h.quantile(1.0) == 4.0
-    assert math.isnan(Histogram().quantile(0.5))
-    with pytest.raises(ValueError):
-        h.quantile(1.5)
-
-
 def _exact_quantile(values, q):
     """Nearest-rank quantile of a sorted sample (the reference)."""
     ordered = sorted(values)
@@ -132,6 +123,16 @@ def test_bucket_quantile_edge_cases():
     assert bucket_quantile([[1.0, 0], [2.0, 0], ["+Inf", 5]], 5, 0.5) == 2.0
 
 
+def _snapshot_buckets(values, lo, hi):
+    """Snapshot-form buckets and count of one histogram of ``values``."""
+    reg = MetricsRegistry()
+    h = reg.histogram("h", lo=lo, hi=hi)
+    for v in values:
+        h.observe(v)
+    (sample,) = reg.snapshot()["h"]["samples"]
+    return sample["buckets"], sample["count"]
+
+
 def test_interpolated_quantiles_track_exact_quantiles():
     # A known sample set: uniform on (0, 10] at 0.01 resolution.  Within
     # each log2 bucket the distribution really is uniform, so the
@@ -139,26 +140,73 @@ def test_interpolated_quantiles_track_exact_quantiles():
     # bucket (8, 16] is only filled to 10, so higher quantiles drift —
     # but must stay inside the holding bucket (within 2x of exact).
     values = [i / 100.0 for i in range(1, 1001)]
-    h = Histogram(lo=-10, hi=4)
-    for v in values:
-        h.observe(v)
+    buckets, count = _snapshot_buckets(values, lo=-10, hi=4)
     for q in (0.50, 0.90, 0.95, 0.99):
         exact = _exact_quantile(values, q)
-        interpolated = h.quantile_interpolated(q)
+        interpolated = bucket_quantile(buckets, count, q)
         ratio = interpolated / exact
         assert 0.5 <= ratio <= 2.0, (q, exact, interpolated)
-    assert h.quantile_interpolated(0.50) == pytest.approx(5.0, rel=0.01)
-    # And it refines the coarse bucket-resolution estimate: the old
-    # quantile() reports the bucket's upper bound (8.0) for the median.
-    assert h.quantile(0.5) == 8.0
-    assert abs(h.quantile_interpolated(0.5) - 5.0) < abs(h.quantile(0.5) - 5.0)
+    median = bucket_quantile(buckets, count, 0.50)
+    assert median == pytest.approx(5.0, rel=0.01)
+    # And it refines the upper bound (8.0) of the bucket holding the median.
+    assert abs(median - 5.0) < abs(8.0 - 5.0)
 
 
 def test_interpolated_quantile_empty_and_bounds():
-    h = Histogram()
-    assert math.isnan(h.quantile_interpolated(0.5))
+    buckets, count = _snapshot_buckets([], lo=-20, hi=6)
+    assert math.isnan(bucket_quantile(buckets, count, 0.5))
     with pytest.raises(ValueError):
-        h.quantile_interpolated(-0.1)
+        bucket_quantile(buckets, count, -0.1)
+
+
+# -- the snapshot reader ----------------------------------------------------------
+def _requests_snapshot():
+    reg = MetricsRegistry()
+    reg.counter("req", verb="predict", outcome="ok").inc(3)
+    reg.counter("req", verb="predict", outcome="error").inc(1)
+    reg.counter("req", verb="estimate", outcome="ok").inc(2)
+    reg.histogram("lat", verb="predict").observe(0.1)
+    reg.histogram("lat", verb="predict").observe(0.2)
+    reg.histogram("lat", verb="estimate").observe(3.0)
+    return reg.snapshot()
+
+
+def test_family_sum_matches_labels_as_a_subset():
+    metrics = _requests_snapshot()
+    assert family_sum(metrics, "req") == 6.0
+    assert family_sum(metrics, "req", (("verb", "predict"),)) == 4.0
+    assert family_sum(metrics, "req", (("outcome", "ok"),)) == 5.0
+    assert family_sum(metrics, "req", (("verb", "predict"), ("outcome", "ok"))) == 3.0
+    assert family_sum(metrics, "req", (("verb", "drain"),)) == 0.0
+
+
+def test_family_sum_counts_histogram_observations():
+    metrics = _requests_snapshot()
+    assert family_sum(metrics, "lat") == 3.0
+    assert family_sum(metrics, "lat", (("verb", "predict"),)) == 2.0
+
+
+def test_family_sum_of_an_absent_family_is_zero():
+    assert family_sum(_requests_snapshot(), "missing") == 0.0
+    assert family_sum({}, "req", (("verb", "predict"),)) == 0.0
+
+
+def test_merged_buckets_adds_matching_samples_and_keeps_inf():
+    reg = MetricsRegistry()  # bounds 0.25, 0.5, 1, 2, 4, then +Inf
+    reg.histogram("lat", lo=-2, hi=2, verb="predict", worker="0").observe(0.2)
+    reg.histogram("lat", lo=-2, hi=2, verb="predict", worker="1").observe(0.2)
+    reg.histogram("lat", lo=-2, hi=2, verb="predict", worker="1").observe(9.0)
+    reg.histogram("lat", lo=-2, hi=2, verb="estimate").observe(3.0)
+    family = reg.snapshot()["lat"]
+    assert merged_buckets(family, (("verb", "predict"),)) == [
+        [0.25, 2], [0.5, 0], [1.0, 0], [2.0, 0], [4.0, 0], ["+Inf", 1]]
+    everything = merged_buckets(family)
+    assert everything == [
+        [0.25, 2], [0.5, 0], [1.0, 0], [2.0, 0], [4.0, 1], ["+Inf", 1]]
+    assert merged_buckets(family, (("verb", "drain"),)) == []
+    assert merged_buckets(None) == []
+    # The merged form is what bucket_quantile reads.
+    assert bucket_quantile(everything, 4, 1.0) == 4.0
 
 
 def test_snapshot_roundtrips_through_json():

@@ -19,8 +19,7 @@ pytestmark = pytest.mark.resilience
 
 @pytest.fixture(scope="module")
 def host():
-    config = ServeConfig(port=0, models={"lmo": make_model()}, workers=1,
-                         telemetry=False)
+    config = ServeConfig(port=0, models={"lmo": make_model()}, telemetry=False)
     with ServerThread(config) as server:
         yield server
 

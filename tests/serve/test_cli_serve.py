@@ -39,7 +39,7 @@ def daemon(model_file):
     # The with block closes the pipes once the daemon is gone.
     with subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--model", f"lmo={model_file}", "--workers", "1"],
+         "--model", f"lmo={model_file}"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     ) as proc:
         try:

@@ -26,8 +26,7 @@ pytestmark = pytest.mark.resilience
 
 @pytest.fixture()
 def host():
-    config = ServeConfig(port=0, models={"lmo": make_model()}, workers=2,
-                         telemetry=False)
+    config = ServeConfig(port=0, models={"lmo": make_model()}, telemetry=False)
     with ServerThread(config) as server:
         yield server
 
@@ -193,8 +192,8 @@ def test_in_memory_registration_wins_over_snapshot(tmp_path):
 
 def test_server_restores_snapshot_on_start(tmp_path):
     snapshot = str(tmp_path / "registry.json")
-    config = ServeConfig(port=0, models={"lmo": make_model()}, workers=1,
-                         telemetry=False, snapshot_path=snapshot)
+    config = ServeConfig(port=0, models={"lmo": make_model()}, telemetry=False,
+                         snapshot_path=snapshot)
     with ServerThread(config) as first:
         with first.client() as client:
             client.call("estimate", {

@@ -23,8 +23,7 @@ from tests.serve.conftest import KB, make_model
 
 @pytest.fixture(scope="module")
 def host(model):
-    config = ServeConfig(port=0, models={"lmo": model}, workers=2,
-                         telemetry=False)
+    config = ServeConfig(port=0, models={"lmo": model}, telemetry=False)
     with ServerThread(config) as running:
         yield running
 
@@ -36,7 +35,7 @@ def test_health_reports_the_fleet(host, model):
     assert health["status"] == "running"
     assert "lmo" in health["models"]
     assert health["inflight"] == 0
-    assert set(health["workers"]) >= {"predict-0", "predict-1", "estimate"}
+    assert set(health["workers"]) == {"predict", "estimate"}
     for worker in health["workers"].values():
         assert worker["state"] == "running"
 
@@ -268,17 +267,17 @@ def test_batched_replies_equal_unbatched_and_facade(model):
             return client.predict("lmo", operation, algorithm, nbytes,
                                   root=root)
 
-    batched_config = ServeConfig(port=0, models={"lmo": model}, workers=1,
+    batched_config = ServeConfig(port=0, models={"lmo": model},
                                  batch_window=0.05, telemetry=False)
     with ServerThread(batched_config) as running:
         with ThreadPoolExecutor(max_workers=len(cases)) as pool:
             batched = list(pool.map(lambda c: fire(running, c), cases))
-        coalesced = running.server._workers[0].batches
+        coalesced = running.server._predictor.batches
 
     # The window actually coalesced concurrent requests...
     assert coalesced < len(cases)
 
-    unbatched_config = ServeConfig(port=0, models={"lmo": model}, workers=1,
+    unbatched_config = ServeConfig(port=0, models={"lmo": model},
                                    batch_window=0.0, telemetry=False)
     with ServerThread(unbatched_config) as running:
         with running.client() as client:
@@ -296,7 +295,7 @@ def test_batched_replies_equal_unbatched_and_facade(model):
 
 # -- backpressure -----------------------------------------------------------------
 def test_full_queue_rejects_with_overloaded(model):
-    config = ServeConfig(port=0, models={"lmo": model}, workers=1,
+    config = ServeConfig(port=0, models={"lmo": model},
                          batch_window=0.25, queue_limit=1, telemetry=False)
     attempts = 12
     barrier = threading.Barrier(attempts)
@@ -324,7 +323,7 @@ def test_full_queue_rejects_with_overloaded(model):
 
 # -- lifecycle --------------------------------------------------------------------
 def test_drain_answers_everything_queued_then_stops(model):
-    config = ServeConfig(port=0, models={"lmo": model}, workers=1,
+    config = ServeConfig(port=0, models={"lmo": model},
                          batch_window=0.5, telemetry=False)
     inflight = 8
     results = []
@@ -368,8 +367,7 @@ def test_reload_drops_nothing_and_swaps_the_model(tmp_path, model):
     path = tmp_path / "model.json"
     api.save_model(model, str(path))
     loaded = api.load_model(str(path))
-    config = ServeConfig(port=0, models={"lmo": str(path)}, workers=2,
-                         telemetry=False)
+    config = ServeConfig(port=0, models={"lmo": str(path)}, telemetry=False)
     failures = []
     results = []
 
@@ -441,6 +439,7 @@ def test_obs_verb_reports_metrics_and_service_alerts(model):
     rules = {alert["rule"]["name"] for alert in snapshot["alerts"]}
     assert {"service_queue_depth_high", "service_p99_latency_high"} <= rules
     assert snapshot["firing"] == []
+    assert set(snapshot) == {"enabled", "telemetry", "alerts", "firing"}
 
 
 def test_obs_verb_without_telemetry(model):

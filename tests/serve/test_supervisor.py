@@ -123,7 +123,7 @@ def test_kill9_recovery_restores_registered_models(model_file, tmp_path,
     env["PYTHONPATH"] = SRC
     command = [sys.executable, "-m", "repro.cli", "serve",
                "--host", "127.0.0.1", "--port", str(port),
-               "--model", f"lmo={model_file}", "--workers", "1",
+               "--model", f"lmo={model_file}",
                "--snapshot", snapshot, "--no-telemetry"]
     supervisor = Supervisor(SupervisorConfig(
         command=command, port=port,

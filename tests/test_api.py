@@ -220,55 +220,6 @@ def test_resume_campaign_wrong_cluster_is_actionable(tmp_path):
         api.resume_campaign(api.load_cluster(nodes=4, seed=1), journal)
 
 
-def test_check_fidelity_scores_models_without_telemetry(cluster, outcome):
-    from repro.obs import runtime as _obs
-
-    _obs.disable()
-    check = api.check_fidelity(
-        cluster,
-        {"lmo": outcome.model},
-        [("gather", "linear", 4096), ("scatter", "binomial", 8192)],
-        max_reps=4,
-    )
-    assert isinstance(check, api.FidelityCheck)
-    assert len(check.records) == 2
-    assert {r.operation for r in check.records} == {
-        "gather/linear", "scatter/binomial",
-    }
-    cards = {(c.model, c.operation) for c in check.scorecards}
-    assert cards == {("lmo", "gather/linear"), ("lmo", "scatter/binomial")}
-    assert "lmo" in check.render()
-    json.dumps(check.to_dict())
-    # Telemetry stayed off: the check used its own private registry.
-    assert _obs.ACTIVE is None
-
-
-def test_check_fidelity_accepts_bare_model_sequences(cluster, outcome):
-    from repro.predict_service import model_label
-
-    check = api.check_fidelity(
-        cluster, [outcome.model], [("gather", "linear", 1024)], max_reps=2,
-    )
-    assert check.records[0].model == model_label(outcome.model)
-    assert check.records[0].model.startswith("ExtendedLMOModel:")
-
-
-def test_check_fidelity_skips_unsupported_points(cluster, outcome):
-    hockney = api.estimate(cluster, model="hockney", reps=1, quick=True).model
-    check = api.check_fidelity(
-        cluster,
-        {"lmo": outcome.model, "hockney": hockney},
-        [("bcast", "pipeline", 4096)],  # extended-LMO only
-        max_reps=2,
-    )
-    assert {r.model for r in check.records} == {"lmo"}
-
-
-def test_check_fidelity_validates_points(cluster, outcome):
-    with pytest.raises(ValueError, match="at least one"):
-        api.check_fidelity(cluster, {"lmo": outcome.model}, [])
-
-
 def test_measure_with_models_feeds_active_telemetry(cluster, outcome):
     from repro.obs import runtime as _obs
     from repro.obs.insight import scorecards
@@ -279,6 +230,24 @@ def test_measure_with_models_feeds_active_telemetry(cluster, outcome):
                     models={"lmo": outcome.model})
         cards = scorecards(tel.registry.snapshot())
         assert [(c.model, c.operation) for c in cards] == [("lmo", "gather/linear")]
+    finally:
+        _obs.disable()
+
+
+def test_measure_labels_bare_models_and_skips_unsupported_points(cluster, outcome):
+    from repro.obs import runtime as _obs
+    from repro.obs.insight import scorecards
+    from repro.predict_service import model_label
+
+    hockney = api.estimate(cluster, model="hockney", reps=1, quick=True).model
+    tel = _obs.enable(fresh=True)
+    try:
+        # The pipelined bcast has an extended-LMO formula only.
+        api.measure(cluster, "bcast", "pipeline", 4096, max_reps=2,
+                    models=[outcome.model, hockney])
+        cards = scorecards(tel.registry.snapshot())
+        assert [c.model for c in cards] == [model_label(outcome.model)]
+        assert cards[0].model.startswith("ExtendedLMOModel:")
     finally:
         _obs.disable()
 
