@@ -3,14 +3,14 @@
 
 The bench job stashes the repo's committed ``BENCH_*.json`` files (the
 baselines), re-runs the microbenchmarks (which overwrite those files at
-the repo root), then runs this script to compare the two sets.  A timing
-metric that got more than ``--tolerance`` slower (default 25%) than its
+the repo root), then runs this script to compare the two sets.  A gated
+metric that got more than ``--tolerance`` worse (default 25%) than its
 committed baseline fails the job.  So does a gated file or metric that
 is missing on either side, or a non-positive baseline: a renamed
 benchmark output must not silently drop its gate.
 
-Only wall-clock style metrics are compared — everything in
-``_GATED_METRICS`` is lower-is-better seconds (or nanoseconds).  Ratio
+Only cost metrics are compared — everything in ``_GATED_METRICS`` is
+lower-is-better seconds, nanoseconds or megabytes of peak memory.  Ratio
 metrics like ``overhead_fraction`` are asserted by the benchmarks
 themselves; counts and metadata are ignored here.
 
@@ -27,12 +27,13 @@ import json
 import sys
 from pathlib import Path
 
-#: file name -> lower-is-better timing metrics gated against the baseline.
+#: file name -> lower-is-better cost metrics gated against the baseline.
 _GATED_METRICS: dict[str, tuple[str, ...]] = {
     "BENCH_prediction.json": ("batch_seconds",),
     "BENCH_obs.json": ("guard_ns",),
     "BENCH_insight.json": ("render_seconds", "ingest_seconds"),
     "BENCH_kernel.json": ("wall_seconds_per_million_events",),
+    "BENCH_startup.json": ("import_seconds", "peak_rss_mb"),
 }
 
 
@@ -75,7 +76,7 @@ def compare(baseline_dir: Path, current_dir: Path, tolerance: float) -> int:
             ratio = cur_v / base_v
             verdict = "ok"
             if ratio > 1.0 + tolerance:
-                verdict = f"REGRESSION (> {tolerance:.0%} slower)"
+                verdict = f"REGRESSION (> {tolerance:.0%} worse)"
                 failures += 1
             print(f"  {name}:{metric}: {base_v:.6g} -> {cur_v:.6g} "
                   f"({ratio - 1.0:+.1%}) {verdict}")
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
     parser.add_argument("--current-dir", type=Path, default=Path("."),
                         help="directory holding the fresh results (default .)")
     parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed slowdown fraction (default 0.25)")
+                        help="allowed regression fraction (default 0.25)")
     args = parser.parse_args(argv)
     if args.tolerance < 0:
         parser.error("tolerance must be non-negative")

@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.obs import runtime as _obs
 from repro.obs.insight.dashboard import build_dashboard, render_html
 from repro.obs.insight.residuals import ResidualMonitor
+from repro.obs.metrics import family_sum
 from repro.obs.runtime import Telemetry
 
 from benchmarks.test_obs_overhead import run_campaign, time_disabled_guard
@@ -126,7 +127,7 @@ def test_disabled_insight_overhead_under_5_percent(tmp_path):
     tel = _obs.enable(fresh=True)
     try:
         _elapsed, _result = run_campaign(tmp_path, "insight-instrumented")
-        kernel_events = tel.registry.total("sim_events_total")
+        kernel_events = family_sum(tel.registry.snapshot(), "sim_events_total")
     finally:
         _obs.disable()
     hooks = int(2 * kernel_events + 1000)

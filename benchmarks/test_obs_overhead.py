@@ -32,6 +32,7 @@ from repro.cluster import (
 )
 from repro.estimation import Campaign, CampaignConfig, DESEngine
 from repro.obs import runtime as _obs
+from repro.obs.metrics import family_sum
 
 REPEATS = 3
 GUARD_ITERATIONS = 1_000_000
@@ -76,10 +77,10 @@ def count_hooks(tmp_path):
     tel = _obs.enable(fresh=True)
     try:
         _elapsed, result = run_campaign(tmp_path, "instrumented")
-        result_engine_events = tel.registry.total("sim_events_total")
-        reg = tel.registry
-        units = reg.total("campaign_units_total")
-        appends = reg.total("journal_appends_total")
+        metrics = tel.registry.snapshot()
+        result_engine_events = family_sum(metrics, "sim_events_total")
+        units = family_sum(metrics, "campaign_units_total")
+        appends = family_sum(metrics, "journal_appends_total")
         spans = len(tel.spans.finished()) + tel.spans.dropped
         events = len(tel.events) + tel.events.dropped
         # Per-site accounting, deliberately over-counted:

@@ -51,8 +51,10 @@ class NoiseModel:
             raise ValueError(f"negative duration {duration!r}")
         value = duration
         if self.rel_sigma > 0:
-            # Lognormal with unit median: exp(N(0, sigma)).
-            value *= float(np.exp(rng.normal(0.0, self.rel_sigma)))
+            # Lognormal with unit median: exp(N(0, sigma)).  numpy draws
+            # rng.normal(0.0, sigma) as 0.0 + sigma * standard_normal(), so
+            # this is the same stream without normal()'s argument handling.
+            value *= float(np.exp(self.rel_sigma * rng.standard_normal()))
         if self.spike_prob > 0 and rng.random() < self.spike_prob:
             value += float(rng.exponential(self.spike_mean))
         return value

@@ -170,9 +170,17 @@ class AlertEngine:
             raise ValueError(f"duplicate rule names in {names}")
         self._firing: dict[str, bool] = {}
 
-    def evaluate(self, metrics: Mapping[str, Any]) -> list[AlertState]:
-        """One pass over the rule set; narrates transitions."""
-        cards = scorecards(metrics)
+    def evaluate(
+        self, metrics: Mapping[str, Any], cards: Optional[list[Scorecard]] = None,
+    ) -> list[AlertState]:
+        """One pass over the rule set; narrates transitions.
+
+        ``cards`` are ``scorecards(metrics)`` when the caller has already
+        built them (the dashboard shows them too); otherwise they are
+        built here.
+        """
+        if cards is None:
+            cards = scorecards(metrics)
         tel = _runtime.ACTIVE
         states: list[AlertState] = []
         for rule in self.rules:

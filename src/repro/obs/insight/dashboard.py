@@ -72,8 +72,8 @@ def build_dashboard(
     warnings = list(warnings)
     if engine is None:
         engine = AlertEngine()
-    alerts = engine.evaluate(metrics)
     cards = scorecards(metrics)
+    alerts = engine.evaluate(metrics, cards)
     live = live_irregularity(metrics)
 
     escalations = family_sum(metrics, "rto_escalations_total")

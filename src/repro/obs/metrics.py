@@ -275,16 +275,6 @@ class MetricsRegistry:
             raise TypeError(f"{name!r} is a histogram; read snapshot() instead")
         return child.value
 
-    def total(self, name: str) -> float:
-        """Sum of a counter/gauge family across all label children."""
-        family = self._families.get(name)
-        if family is None:
-            return 0.0
-        total = 0.0
-        for child in family.children.values():
-            total += child.count if isinstance(child, Histogram) else child.value
-        return total
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready view of every family (see :func:`prometheus_text`)."""
         out: dict[str, Any] = {}

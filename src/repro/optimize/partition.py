@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.models.base import validate_rank
 from repro.models.lmo_extended import ExtendedLMOModel
@@ -191,6 +190,10 @@ def optimal_partition(
     a_eq[0, :n] = 1.0
     b_eq = [float(total)]
     bounds = [(float(min_count), None)] * n + [(0.0, None)]
+    # Imported at the first partition, so that importing the package does
+    # not load scipy.optimize.
+    from scipy.optimize import linprog
+
     solution = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                        method="highs")
     if not solution.success:  # pragma: no cover - LP is always feasible here

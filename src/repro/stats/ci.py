@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 __all__ = [
     "SampleSummary",
@@ -31,8 +30,12 @@ def t_confidence_halfwidth(samples: Sequence[float], confidence: float = 0.95) -
     sem = data.std(ddof=1) / np.sqrt(data.size)
     if sem == 0.0:
         return 0.0
-    # The Student-t quantile scipy.stats.t.ppf evaluates, without the
-    # second of import time scipy.stats costs.
+    # The Student-t quantile scipy.stats.t.ppf evaluates.  scipy.special
+    # is imported here, at the first interval, so that importing the
+    # package (and serving, estimating or running a campaign, which
+    # compute no interval) does not load scipy.
+    from scipy.special import stdtrit
+
     t_crit = stdtrit(data.size - 1, 0.5 + confidence / 2.0)
     return float(t_crit * sem)
 

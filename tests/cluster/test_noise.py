@@ -51,3 +51,28 @@ def test_invalid_parameters_rejected():
         NoiseModel(rel_sigma=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(spike_prob=1.5)
+
+
+def _perturb_via_normal(model, duration, rng):
+    """The lognormal factor drawn as exp(rng.normal(0, sigma))."""
+    value = duration
+    if model.rel_sigma > 0:
+        value *= float(np.exp(rng.normal(0.0, model.rel_sigma)))
+    if model.spike_prob > 0 and rng.random() < model.spike_prob:
+        value += float(rng.exponential(model.spike_mean))
+    return value
+
+
+@pytest.mark.parametrize("seed", [0, 1, 23])
+@pytest.mark.parametrize("rel_sigma", [0.01, 0.05, 0.3])
+def test_perturb_draws_the_stream_of_rng_normal(seed, rel_sigma):
+    """sigma * standard_normal() is the draw rng.normal(0, sigma) makes:
+    the same factors, bit for bit, and the same bits consumed."""
+    model = NoiseModel(rel_sigma=rel_sigma, spike_prob=0.01, spike_mean=1e-3)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    durations = np.random.default_rng(seed + 100).uniform(0.0, 1e-3, 2000)
+    for duration in durations:
+        assert model.perturb(duration, ours) == _perturb_via_normal(
+            model, duration, theirs
+        )
+    assert ours.random() == theirs.random()

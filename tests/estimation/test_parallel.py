@@ -42,6 +42,7 @@ from repro.estimation import parallel
 from repro.estimation.journal import replay
 from repro.estimation.parallel import coordinator_path
 from repro.obs import runtime as _obs
+from repro.obs.metrics import family_sum
 
 from tests.procs import children, needs_proc, wait_gone
 
@@ -515,12 +516,12 @@ def test_parallel_run_emits_pool_and_worker_metrics(tmp_path):
                 chaos_kills=(ChaosKill(worker=0, after_units=1),),
             ),
         ).run()
-        reg = tel.registry
-        assert reg.total("parallel_workers_spawned_total") >= 2
-        assert reg.total("parallel_worker_units_total") > 0
-        assert reg.total("parallel_workers_dead_total") >= 1
-        assert reg.total("parallel_units_reclaimed_total") >= 1
-        assert reg.total("parallel_merge_units_total") == 36
+        metrics = tel.registry.snapshot()
+        assert family_sum(metrics, "parallel_workers_spawned_total") >= 2
+        assert family_sum(metrics, "parallel_worker_units_total") > 0
+        assert family_sum(metrics, "parallel_workers_dead_total") >= 1
+        assert family_sum(metrics, "parallel_units_reclaimed_total") >= 1
+        assert family_sum(metrics, "parallel_merge_units_total") == 36
         names = {span.name for span in tel.spans.finished()}
         assert "campaign.parallel.run" in names
         assert "campaign.parallel.merge" in names
@@ -569,32 +570,6 @@ def test_api_resume_campaign_detects_shard_set(tmp_path):
         ).run()
     resumed = api.resume_campaign(cluster(), path, workers=2)
     assert_same_output(serial, resumed)
-
-
-def test_importing_the_api_leaves_the_process_pool_unloaded():
-    """The pool is imported inside ``run``, so ``import repro.api`` does
-    not pay for it."""
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    code = "import sys, repro.api; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=120, check=True,
-        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
-    )
-    assert out.stdout.strip() == "False"
-
-
-def test_importing_the_api_leaves_scipy_stats_unloaded():
-    """The Student-t quantile comes from ``scipy.special``, so ``import
-    repro.api`` does not pay for ``scipy.stats`` (about a second)."""
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    code = "import sys, repro.api; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=120, check=True,
-        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
-    )
-    assert out.stdout.strip() == "False"
 
 
 @needs_proc

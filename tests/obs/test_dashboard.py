@@ -14,6 +14,8 @@ import pytest
 
 import repro.api as api
 from repro.obs import runtime as _obs
+from repro.obs.insight import alerts, dashboard
+from repro.obs.insight.alerts import AlertEngine
 from repro.obs.insight.dashboard import (
     build_dashboard,
     render_html,
@@ -66,6 +68,27 @@ def test_build_dashboard_shape():
     assert data["spans_by_name"]["campaign.run"]["count"] == 1
     # The whole data dict is JSON-ready (the CLI's --format json path).
     assert json.loads(json.dumps(data)) == data
+
+
+def test_build_dashboard_builds_the_scorecards_once(monkeypatch):
+    """The alert engine reuses the dashboard's scorecards; the residual
+    rules read the same cards the panel shows."""
+    calls = []
+    real = dashboard.scorecards
+
+    def counted(metrics):
+        calls.append(1)
+        return real(metrics)
+
+    monkeypatch.setattr(dashboard, "scorecards", counted)
+    monkeypatch.setattr(alerts, "scorecards", counted)
+    doc = _sample_doc()
+    data = build_dashboard(doc)
+    assert len(calls) == 1
+    # The same verdicts an engine reaches when it builds the cards itself.
+    alone = AlertEngine().evaluate(doc["metrics"])
+    assert len(calls) == 2
+    assert data["alerts"] == [a.to_dict() for a in alone]
 
 
 def test_build_dashboard_rejects_non_snapshot():

@@ -34,6 +34,7 @@ from repro.estimation import (
 from repro.estimation.breakers import BreakerPolicy, CircuitBreaker
 from repro.models import ExtendedLMOModel
 from repro.obs import runtime as _obs
+from repro.obs.metrics import family_sum
 
 pytestmark = pytest.mark.campaign
 
@@ -66,7 +67,7 @@ def test_campaign_emits_unit_journal_and_budget_metrics(tmp_path):
     assert len(tel.spans.finished("campaign.run")) == 1
     # Journal instrumentation: one append per started/done record at
     # minimum, with matching latency observations.
-    appends = reg.total("journal_appends_total")
+    appends = family_sum(reg.snapshot(), "journal_appends_total")
     assert appends >= 2 * total
     hist = reg.histogram("journal_append_seconds")
     assert hist.count == appends
@@ -90,8 +91,9 @@ def test_status_replay_is_suppressed_not_recounted(tmp_path):
     status = campaign_status(path)
     # Replaying the journal rebuilt a breaker board, but none of that is
     # live activity: no counters, no events leaked into the session.
-    assert tel.registry.total("breaker_transitions_total") == 0
-    assert tel.registry.total("campaign_units_total") == 0
+    metrics = tel.registry.snapshot()
+    assert family_sum(metrics, "breaker_transitions_total") == 0
+    assert family_sum(metrics, "campaign_units_total") == 0
     assert len(tel.events) == 0
     assert status.coverage == 1.0
     assert status.quarantined == ()
@@ -165,7 +167,7 @@ def test_kernel_event_counts_flush_on_reset():
     DESEngine(cluster).run(roundtrip(0, 1, KB))
     processed = cluster.sim.events_processed
     assert processed > 0
-    assert tel.registry.total("sim_events_total") == 0  # not yet flushed
+    assert family_sum(tel.registry.snapshot(), "sim_events_total") == 0  # not yet flushed
     cluster.reset()
     assert tel.registry.value("sim_events_total") == processed
     cluster.reset()  # fresh sim, nothing new to flush
@@ -229,8 +231,9 @@ def test_transfers_feed_size_histograms_and_incast_marks_escalated():
     # Gather in the irregularity region: incast escalations are natural.
     api.measure(cluster, "gather", "linear", 32 * KB, max_reps=8)
     reg = tel.registry
-    transfers = reg.total("sim_transfer_bytes")
-    escalated = reg.total("sim_escalated_transfer_bytes")
+    metrics = reg.snapshot()
+    transfers = family_sum(metrics, "sim_transfer_bytes")
+    escalated = family_sum(metrics, "sim_escalated_transfer_bytes")
     incasts = reg.value("rto_escalations_total", cause="incast")
     assert transfers > 0
     # Every natural escalation marked exactly one sized transfer.
@@ -260,8 +263,9 @@ def test_loss_escalations_do_not_count_as_escalated_transfers():
     assert losses > 0
     # Injected-fault escalations are size-independent noise: they must
     # not pollute the escalation-region estimate.
-    assert reg.total("sim_escalated_transfer_bytes") == 0
-    assert reg.total("sim_transfer_bytes") > 0
+    metrics = reg.snapshot()
+    assert family_sum(metrics, "sim_escalated_transfer_bytes") == 0
+    assert family_sum(metrics, "sim_transfer_bytes") > 0
 
 
 # -- residual feeds --------------------------------------------------------------

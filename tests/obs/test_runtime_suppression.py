@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import runtime as _obs
+from repro.obs.metrics import family_sum
 
 
 def test_suppressed_mutes_and_restores():
@@ -65,5 +66,5 @@ def test_hooks_inside_suppressed_do_not_count():
         guard = _obs.ACTIVE
         if guard is not None:  # the instrumentation idiom
             tel.registry.counter("t_total").inc()
-    assert tel.registry.total("t_total") == 1
+    assert family_sum(tel.registry.snapshot(), "t_total") == 1
 
