@@ -184,8 +184,12 @@ def load_cluster(
 
 
 def load_model(path: str):
-    """Load a saved model (any schema version :mod:`repro.io` accepts)."""
-    return model_io.load(path)
+    """Load a saved schema-v2 model; a file that is not one raises
+    :class:`~repro.api.errors.InvalidRequest` (a ``ValueError``)."""
+    try:
+        return model_io.load(path)
+    except ValueError as exc:
+        raise InvalidRequest(str(exc)) from exc
 
 
 def save_model(model, path: str) -> None:

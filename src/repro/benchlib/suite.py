@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from repro.benchlib.driver import BenchmarkPoint, CollectiveBenchmark
 from repro.cluster.machine import SimulatedCluster
-from repro.mpi.collectives import ALGORITHMS
+from repro.mpi.collectives import ALGORITHMS, VARIABLE_BLOCK
 from repro.stats import MeasurementPolicy
 
 __all__ = ["BenchmarkSuite", "SuiteResult"]
@@ -98,7 +98,7 @@ class BenchmarkSuite:
         chosen = set(operations) if operations is not None else {
             op for op, _algo in ALGORITHMS
         }
-        chosen -= {"scatterv", "gatherv"}  # need per-rank counts, not one size
+        chosen -= VARIABLE_BLOCK
         result = SuiteResult()
         for (operation, algorithm) in sorted(ALGORITHMS):
             if operation not in chosen:

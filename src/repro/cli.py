@@ -3,43 +3,23 @@
 Mirrors the workflow of the paper's software tool [13]: describe the
 cluster, estimate a model's parameters (to JSON), predict collectives
 with it, measure them for comparison, visualize a run, and regenerate
-the paper's experiments.  All model I/O, estimation, prediction and
-measurement route through the :mod:`repro.api` facade.
+the paper's experiments.  All model I/O, cluster and campaign
+construction, estimation, prediction and measurement route through the
+:mod:`repro.api` facade.
 
+Each subcommand's parser carries its handler (``set_defaults(run=...)``).
 Every subcommand takes ``--format {text,json}``; JSON goes to stdout,
-errors always go to stderr (see ``docs/cli.md``).
-
-Subcommands
------------
-describe    print the Table I cluster and its derived parameters
-estimate    run a model's estimation procedure, write the model as JSON
-predict     evaluate a collective prediction from a saved model
-measure     benchmark a collective on the simulated cluster (CI 95%/2.5%)
-suite       benchmark the whole algorithm menu as a comparison table
-partition   min-makespan data distribution from a saved LMO model
-plan        choose algorithms for an application's collective calls
-trace       run one collective and print its activity timeline (or export
-            it as Chrome trace JSON: ``trace export --chrome out.json``)
-drift       spot-check a saved model against the (possibly degraded) cluster
-chaos       fault-injection demo: estimate, inject, self-heal, report
-campaign    durable estimation sweep: run / resume / status on a journal
-serve       run the always-on prediction daemon (NDJSON over TCP/Unix)
-client      send one request to a running daemon and print the reply
-obs         inspect/export a telemetry snapshot written by --metrics-out
-            (report / export / dashboard / watch — the dashboard is one
-            self-contained HTML file, the model-fidelity observatory)
-experiment  regenerate one of the paper's tables/figures (optional CSV)
-report      regenerate all of them (markdown)
-
-``campaign run/resume``, ``chaos`` and ``suite`` accept
-``--metrics-out PATH``: telemetry (:mod:`repro.obs`) is enabled for the
-command and the full snapshot document is written to PATH afterwards,
-ready for ``repro obs report`` / ``repro obs export``.
+errors always go to stderr (see ``docs/cli.md``).  Handlers report bad
+input by raising, and :func:`main` turns the error into one stderr line
+and exit code 2: a :class:`UsageError` verbatim, an
+:class:`repro.api.ApiError` as ``code: message``, an ``OSError`` as its
+message.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -47,7 +27,6 @@ from typing import Optional
 
 from repro import api
 from repro.cluster import (
-    ClusterSpec,
     FaultInjector,
     FaultPlan,
     FlakyLink,
@@ -55,23 +34,20 @@ from repro.cluster import (
     NodeCrash,
     NodeHang,
     NodeSlowdown,
-    NoiseModel,
     ProcessCrash,
-    SimulatedCluster,
     SimulatedCrash,
-    synthesize_ground_truth,
     table1_cluster,
 )
 from repro.estimation import (
-    Campaign,
-    CampaignConfig,
     DESEngine,
     JournalError,
     MaintainerPolicy,
     ModelMaintainer,
     detect_model_drift,
 )
+from repro.models import ExtendedLMOModel
 from repro.mpi import run_collective
+from repro.mpi.collectives import ALGORITHMS, VARIABLE_BLOCK
 from repro.obs import (
     chrome_trace,
     list_traces,
@@ -84,60 +60,71 @@ from repro.obs import (
 from repro.obs import insight as _insight
 from repro.obs import runtime as _obs
 from repro.obs import trace as _tracectx
+from repro.predict_service import PREDICTION_MENU, cache_info
 from repro.simlib import Tracer
 
 __all__ = ["main"]
 
-PROFILES = api.PROFILES
 KB = 1024
 
-#: The full prediction menu the ``predict`` subcommand accepts; which
-#: pairs actually work depends on the model (api.available_algorithms).
-PREDICT_OPERATIONS = [
-    "scatter", "gather", "bcast", "allgather", "allreduce", "reduce_scatter",
-]
-PREDICT_ALGORITHMS = [
-    "linear", "binomial", "pipeline", "van_de_geijn", "ring",
-    "recursive_doubling", "reduce_bcast", "rabenseifner",
-]
+
+class UsageError(Exception):
+    """Bad input to a subcommand; :func:`main` prints it verbatim, exit 2."""
 
 
 def _emit(args, text: str, payload: dict) -> None:
     """Print ``text`` or, under ``--format json``, the payload."""
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(text)
 
 
-def _metrics_begin(args):
-    """Enable telemetry when the command was given ``--metrics-out``."""
-    if getattr(args, "metrics_out", None) is None:
-        return None
-    return _obs.enable(fresh=True)
+@contextlib.contextmanager
+def _telemetry(args):
+    """Record the block's telemetry when the command was given ``--metrics-out``.
 
-
-def _metrics_end(args, tel) -> None:
-    """Write the telemetry snapshot document and switch telemetry off."""
-    if tel is None:
+    The snapshot document is written, and telemetry switched off, even
+    when the block fails.
+    """
+    if args.metrics_out is None:
+        yield
         return
+    tel = _obs.enable(fresh=True)
     try:
-        with open(args.metrics_out, "w") as handle:
-            json.dump(tel.to_dict(), handle, indent=2)
-        if getattr(args, "format", "text") == "text":
-            print(f"telemetry snapshot written to {args.metrics_out}")
+        yield
     finally:
-        _obs.disable()
+        try:
+            with open(args.metrics_out, "w") as handle:
+                json.dump(tel.to_dict(), handle, indent=2)
+            if args.format == "text":
+                print(f"telemetry snapshot written to {args.metrics_out}")
+        finally:
+            _obs.disable()
 
 
-def make_cluster(args) -> SimulatedCluster:
-    return api.load_cluster(profile=args.profile, seed=args.seed)
+def _cluster(args, **kwargs):
+    """The simulated cluster of the global ``--profile`` and ``--seed``."""
+    return api.load_cluster(profile=args.profile, seed=args.seed, **kwargs)
+
+
+def _check_collective(args, cluster) -> None:
+    """Reject what ``measure``/``trace`` cannot run before anything runs.
+
+    The variable-block collectives need per-rank counts, which no flag
+    passes; a root outside the cluster would deadlock the simulation.
+    """
+    menu = sorted(f"{op}/{algo}" for op, algo in ALGORITHMS if op not in VARIABLE_BLOCK)
+    if f"{args.operation}/{args.algorithm}" not in menu:
+        raise UsageError(f"unsupported collective {args.operation}/{args.algorithm}; "
+                         f"choose from {', '.join(menu)}")
+    if not 0 <= args.root < cluster.n:
+        raise UsageError(f"--root must be in [0, {cluster.n - 1}], got {args.root}")
 
 
 def cmd_describe(args) -> int:
-    spec = table1_cluster()
-    gt = synthesize_ground_truth(spec, seed=args.seed)
-    profile = PROFILES[args.profile]
+    cluster = _cluster(args)
+    spec, gt, profile = cluster.spec, cluster.ground_truth, cluster.profile
     lines = [spec.describe(), "", f"derived parameters (seed {args.seed}):"]
     derived = []
     for rank, node in enumerate(spec.nodes):
@@ -158,7 +145,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cluster = make_cluster(args)
+    cluster = _cluster(args)
     outcome = api.estimate(cluster, model=args.model, reps=args.reps,
                            quick=args.quick, empirical=args.empirical)
     api.save_model(outcome.model, args.out)
@@ -171,15 +158,13 @@ def cmd_estimate(args) -> int:
 
 def cmd_predict(args) -> int:
     model = api.load_model(args.model_file)
-    kwargs = {"combine": (lambda a, b: a)} if args.operation in (
-        "allreduce", "reduce_scatter") else {}
     try:
         prediction = api.predict(model, args.operation, args.algorithm,
-                                 args.nbytes, root=args.root, **kwargs)
-    except (KeyError, AttributeError, TypeError):
-        print(f"no prediction formula for {args.operation}/{args.algorithm}",
-              file=sys.stderr)
-        return 2
+                                 args.nbytes, root=args.root)
+    except api.ModelNotLoaded as exc:
+        raise UsageError(
+            f"no prediction formula for {args.operation}/{args.algorithm}"
+        ) from exc
     lines = []
     if prediction.regime is not None:
         lines.append(f"regime: {prediction.regime}, escalation probability "
@@ -187,15 +172,14 @@ def cmd_predict(args) -> int:
     lines.append(f"predicted {args.operation}/{args.algorithm} of "
                  f"{args.nbytes} B on {model.n} nodes: "
                  f"{prediction.seconds * 1e3:.3f} ms")
-    from repro.predict_service import cache_info
-
     _emit(args, "\n".join(lines),
           {**prediction.to_dict(), "cache": cache_info()})
     return 0
 
 
 def cmd_measure(args) -> int:
-    cluster = make_cluster(args)
+    cluster = _cluster(args)
+    _check_collective(args, cluster)
     measurement = api.measure(cluster, args.operation, args.algorithm,
                               args.nbytes, root=args.root,
                               max_reps=args.max_reps)
@@ -209,18 +193,16 @@ def cmd_measure(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cluster = make_cluster(args)
-    cluster.noise = NoiseModel.none()
+    if args.action == "export" and not args.chrome:
+        raise UsageError("trace export needs --chrome OUT.json")
+    cluster = _cluster(args, noise=False)
+    _check_collective(args, cluster)
     tracer = Tracer()
     cluster.attach_tracer(tracer)
     run_collective(cluster, args.operation, args.algorithm, args.nbytes, root=args.root)
     if args.action == "export":
-        if not args.chrome:
-            print("trace export needs --chrome OUT.json", file=sys.stderr)
-            return 2
-        trace_json = chrome_trace(tracer=tracer)
         with open(args.chrome, "w") as handle:
-            handle.write(trace_json)
+            handle.write(chrome_trace(tracer=tracer))
         _emit(args,
               f"Chrome trace ({len(tracer.intervals)} intervals, "
               f"{len(tracer.lanes())} lanes) written to {args.chrome}",
@@ -244,20 +226,22 @@ def cmd_suite(args) -> int:
     from repro.benchlib import BenchmarkSuite
     from repro.stats import MeasurementPolicy
 
-    tel = _metrics_begin(args)
     try:
-        cluster = make_cluster(args)
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise UsageError(
+            f"bad --sizes {args.sizes!r}; use comma-separated byte counts"
+        ) from None
+    operations = args.operations.split(",") if args.operations else None
+    with _telemetry(args):
+        cluster = _cluster(args)
         suite = BenchmarkSuite(
             cluster,
             policy=MeasurementPolicy(min_reps=min(3, args.max_reps),
                                      max_reps=args.max_reps),
         )
-        operations = args.operations.split(",") if args.operations else None
-        sizes = [int(s) for s in args.sizes.split(",")]
         result = suite.run(operations=operations, sizes=sizes)
         cluster.reset()  # flush the final run's kernel counters
-    finally:
-        _metrics_end(args, tel)
     _emit(args, result.render(), {
         "points": [
             {"operation": op, "algorithm": algo, "nbytes": m,
@@ -274,14 +258,17 @@ def cmd_partition(args) -> int:
     from repro.optimize import optimal_partition
 
     model = api.load_model(args.model_file)
+    if not isinstance(model, ExtendedLMOModel):
+        raise UsageError(
+            f"partition needs an extended-LMO model, got {type(model).__name__}"
+        )
     work = (
         [float(w) for w in args.work_rates.split(",")]
         if args.work_rates
         else [args.work_rate] * model.n
     )
     if len(work) != model.n:
-        print(f"need {model.n} work rates, got {len(work)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"need {model.n} work rates, got {len(work)}")
     part = optimal_partition(model, args.total, np.asarray(work), root=args.root)
     lines = [f"min-makespan distribution of {args.total} bytes "
              f"(predicted {part.predicted_makespan * 1e3:.2f} ms):"]
@@ -301,14 +288,15 @@ def cmd_plan(args) -> int:
     model = api.load_model(args.model_file)
     calls = []
     for spec_str in args.calls:
-        parts = spec_str.split(":")
-        if not (2 <= len(parts) <= 3):
-            print(f"bad call spec {spec_str!r}; use op:nbytes[:count]",
-                  file=sys.stderr)
-            return 2
-        operation, nbytes = parts[0], int(parts[1])
-        count = int(parts[2]) if len(parts) == 3 else 1
-        calls.append(CollectiveCall(operation, nbytes, count=count))
+        operation, *numbers = spec_str.split(":")
+        try:
+            values = [int(number) for number in numbers]
+        except ValueError:
+            values = []
+        if len(values) not in (1, 2):
+            raise UsageError(f"bad call spec {spec_str!r}; use op:nbytes[:count]")
+        calls.append(CollectiveCall(operation, values[0],
+                                    count=values[1] if len(values) == 2 else 1))
     plan = plan_collectives(model, calls)
     _emit(args, plan.render(), {
         "predicted_total_seconds": float(plan.predicted_total),
@@ -324,10 +312,9 @@ def cmd_plan(args) -> int:
 
 def cmd_drift(args) -> int:
     model = api.load_model(args.model_file)
-    cluster = make_cluster(args)
+    cluster = _cluster(args)
     if cluster.n != model.n:
-        print(f"model is for {model.n} nodes, cluster has {cluster.n}", file=sys.stderr)
-        return 2
+        raise UsageError(f"model is for {model.n} nodes, cluster has {cluster.n}")
     lines = []
     if args.degrade_node is not None:
         cluster.degrade_node(args.degrade_node, args.degrade_factor)
@@ -411,26 +398,19 @@ def _parse_faults(args) -> FaultPlan:
 
 
 def cmd_chaos(args) -> int:
-    base = table1_cluster()
-    if not (3 <= args.nodes <= base.n):
-        print(f"--nodes must be in [3, {base.n}]", file=sys.stderr)
-        return 2
-    spec = ClusterSpec(base.nodes[: args.nodes], name=f"{base.name}-{args.nodes}")
-    cluster = SimulatedCluster(
-        spec, profile=PROFILES[args.profile], noise=NoiseModel.default(),
-        seed=args.seed,
-    )
+    full = table1_cluster().n
+    if not 3 <= args.nodes <= full:
+        raise UsageError(f"--nodes must be in [3, {full}]")
+    cluster = _cluster(args, nodes=args.nodes)
     try:
         plan = _parse_faults(args)
         plan.validate(cluster.n)
     except ValueError as exc:
-        print(f"bad fault plan: {exc}", file=sys.stderr)
-        return 2
-    lines = [f"cluster: {spec.n} nodes ({spec.name}), "
+        raise UsageError(f"bad fault plan: {exc}") from exc
+    lines = [f"cluster: {cluster.n} nodes ({cluster.spec.name}), "
              f"fault plan (seed {plan.seed}):", plan.describe()]
 
-    tel = _metrics_begin(args)
-    try:
+    with _telemetry(args):
         maintainer = ModelMaintainer(
             DESEngine(cluster), MaintainerPolicy(reps=args.reps),
         )
@@ -452,7 +432,7 @@ def cmd_chaos(args) -> int:
         lines.append("verdict: model healed" if healed else
                      "verdict: drift persists (more cycles needed)")
         payload = {
-            "nodes": spec.n,
+            "nodes": cluster.n,
             "cycles": args.cycles,
             "fault_plan": plan.describe(),
             "worst_drift": float(report.worst_error),
@@ -467,31 +447,28 @@ def cmd_chaos(args) -> int:
             lines.extend(campaign_lines)
             payload["campaign"] = campaign_payload
         cluster.reset()  # flush the final run's kernel counters
-    finally:
-        _metrics_end(args, tel)
 
     _emit(args, "\n".join(lines), payload)
     return 0
 
 
-def _chaos_campaign(args, cluster: SimulatedCluster, plan: FaultPlan):
+def _chaos_campaign(args, cluster, plan: FaultPlan):
     """The chaos demo's durable-campaign stage: run under the fault plan,
     survive a simulated process crash by resuming, report breaker states."""
-    import os
     import tempfile
 
     journal = args.journal
     if journal is None:
-        # Campaign.start refuses an existing path, so hand it a fresh name
-        # inside a fresh directory rather than a pre-created file.
+        # A fresh campaign refuses an existing path, so hand it a fresh
+        # name inside a fresh directory rather than a pre-created file.
         journal = os.path.join(
             tempfile.mkdtemp(prefix="repro-chaos-"), "campaign.jsonl"
         )
-    config = CampaignConfig(seed=args.seed, timeout=args.campaign_timeout)
+    config = api.CampaignConfig(seed=args.seed, timeout=args.campaign_timeout)
     lines = [f"\ndurable campaign under faults (journal {journal}):"]
     crashed = False
     try:
-        result = Campaign.start(DESEngine(cluster), journal, config=config).run()
+        result = api.run_campaign(cluster, journal, config)
     except SimulatedCrash as exc:
         crashed = True
         lines.append(f"  process crash injected: {exc}")
@@ -501,7 +478,7 @@ def _chaos_campaign(args, cluster: SimulatedCluster, plan: FaultPlan):
         cluster.attach_injector(
             FaultInjector(FaultPlan(faults=survivors, seed=plan.seed))
         )
-        result = Campaign.resume(DESEngine(cluster), journal).run()
+        result = api.resume_campaign(cluster, journal)
     lines.append("  " + result.summary().replace("\n", "\n  "))
     breakers = result.breakers
     for node_state in breakers["nodes"]:
@@ -519,63 +496,68 @@ def _chaos_campaign(args, cluster: SimulatedCluster, plan: FaultPlan):
     return lines, payload
 
 
-def cmd_campaign(args) -> int:
-    """``repro campaign run|resume|status`` — the durable estimation sweep.
+def _campaign_status(journal: str):
+    try:
+        return api.campaign_status(journal)
+    except JournalError as exc:
+        raise UsageError(f"cannot read journal: {exc}") from exc
+
+
+def cmd_campaign_status(args) -> int:
+    status = _campaign_status(args.journal)
+    _emit(args, status.summary(), status.to_dict())
+    return 0
+
+
+def cmd_campaign_run(args) -> int:
+    cluster = _cluster(args, nodes=args.nodes)
+
+    def start():
+        config = api.CampaignConfig(
+            seed=args.seed,
+            reps=args.reps,
+            timeout=args.timeout,
+            coverage_floor=args.coverage_floor,
+            max_wall_seconds=args.max_wall_seconds,
+            max_sim_seconds=args.max_sim_seconds,
+            max_repetitions=args.max_repetitions,
+        )
+        return api.run_campaign(cluster, args.journal, config, workers=args.workers)
+
+    return _run_campaign(args, cluster, start)
+
+
+def cmd_campaign_resume(args) -> int:
+    nodes = args.nodes
+    if nodes is None:
+        # The journal knows the cluster size; don't make the user repeat it.
+        nodes = _campaign_status(args.journal).n
+        if nodes >= table1_cluster().n:
+            nodes = None
+    cluster = _cluster(args, nodes=nodes)
+    return _run_campaign(args, cluster, lambda: api.resume_campaign(
+        cluster,
+        args.journal,
+        max_wall_seconds=args.max_wall_seconds,
+        max_sim_seconds=args.max_sim_seconds,
+        max_repetitions=args.max_repetitions,
+        workers=args.workers,
+    ))
+
+
+def _run_campaign(args, cluster, run) -> int:
+    """``repro campaign run|resume`` — the durable estimation sweep.
 
     Exit codes: 0 full-coverage model, 1 degraded (model produced but
     coverage or quarantine report says so) or budget-stopped (resumable),
     2 usage / journal errors.
     """
-    if args.action == "status":
+    with _telemetry(args):
         try:
-            status = api.campaign_status(args.journal)
-        except JournalError as exc:
-            print(f"cannot read journal: {exc}", file=sys.stderr)
-            return 2
-        _emit(args, status.summary(), status.to_dict())
-        return 0
-
-    nodes = args.nodes
-    if args.action == "resume" and nodes is None:
-        # The journal knows the cluster size; don't make the user repeat it.
-        try:
-            nodes = api.campaign_status(args.journal).n
-        except JournalError as exc:
-            print(f"cannot read journal: {exc}", file=sys.stderr)
-            return 2
-        if nodes >= table1_cluster().n:
-            nodes = None
-    cluster = api.load_cluster(nodes=nodes, profile=args.profile,
-                               seed=args.seed)
-    tel = _metrics_begin(args)
-    try:
-        if args.action == "run":
-            config = CampaignConfig(
-                seed=args.seed,
-                reps=args.reps,
-                timeout=args.timeout,
-                coverage_floor=args.coverage_floor,
-                max_wall_seconds=args.max_wall_seconds,
-                max_sim_seconds=args.max_sim_seconds,
-                max_repetitions=args.max_repetitions,
-            )
-            result = api.run_campaign(cluster, args.journal, config,
-                                      workers=args.workers)
-        else:
-            result = api.resume_campaign(
-                cluster,
-                args.journal,
-                max_wall_seconds=args.max_wall_seconds,
-                max_sim_seconds=args.max_sim_seconds,
-                max_repetitions=args.max_repetitions,
-                workers=args.workers,
-            )
+            result = run()
+        except (JournalError, ValueError) as exc:
+            raise UsageError(f"campaign failed: {exc}") from exc
         cluster.reset()  # flush the final run's kernel counters
-    except (JournalError, ValueError) as exc:
-        print(f"campaign failed: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        _metrics_end(args, tel)
     if result.model is not None and args.out:
         api.save_model(result.model, args.out)
     text = result.summary()
@@ -595,7 +577,6 @@ def _load_bench_files(paths) -> tuple:
     traceback, so one corrupt artifact never takes the dashboard down.
     """
     import glob as _glob
-    import os
 
     chosen = list(paths) if paths else sorted(_glob.glob("BENCH_*.json"))
     bench, warnings = [], []
@@ -637,8 +618,7 @@ def cmd_serve(args) -> int:
     for spec_str in args.model or []:
         name, sep, path = spec_str.partition("=")
         if not sep or not name or not path:
-            print(f"bad --model spec {spec_str!r}; use NAME=PATH", file=sys.stderr)
-            return 2
+            raise UsageError(f"bad --model spec {spec_str!r}; use NAME=PATH")
         models[name] = path
 
     if args.supervised:
@@ -666,8 +646,7 @@ def cmd_serve(args) -> int:
     try:
         asyncio.run(_run())
     except (ValueError, OSError) as exc:
-        print(f"cannot serve: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot serve: {exc}") from exc
     except KeyboardInterrupt:
         pass
     return 0
@@ -732,11 +711,9 @@ def cmd_client(args) -> int:
     try:
         params = json.loads(args.params) if args.params else {}
     except ValueError as exc:
-        print(f"--params is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--params is not valid JSON: {exc}") from exc
     if not isinstance(params, dict):
-        print("--params must be a JSON object", file=sys.stderr)
-        return 2
+        raise UsageError("--params must be a JSON object")
     ctx = None
     if args.traceparent == "new":
         ctx = _tracectx.new_context()
@@ -744,41 +721,42 @@ def cmd_client(args) -> int:
     elif args.traceparent is not None:
         ctx = _tracectx.parse_traceparent(args.traceparent)
         if ctx is None:
-            print(f"malformed --traceparent {args.traceparent!r}; "
-                  "expected 00-<32 hex>-<16 hex>-01", file=sys.stderr)
-            return 2
+            raise UsageError(f"malformed --traceparent {args.traceparent!r}; "
+                             "expected 00-<32 hex>-<16 hex>-01")
     trace_token = _tracectx.activate(ctx) if ctx is not None else None
+    endpoint = {"host": args.host, "port": args.port, "unix_path": args.unix,
+                "timeout": args.timeout}
     try:
         if args.retries > 0 or args.deadline_ms is not None:
-            retry = RetryPolicy(max_retries=args.retries, seed=0)
-            with ResilientClient(host=args.host, port=args.port,
-                                 unix_path=args.unix, timeout=args.timeout,
-                                 retry=retry,
-                                 deadline_ms=args.deadline_ms) as client:
-                result = client.call(args.verb, params)
+            client = ResilientClient(**endpoint, deadline_ms=args.deadline_ms,
+                                     retry=RetryPolicy(max_retries=args.retries, seed=0))
         else:
-            with ServiceClient(host=args.host, port=args.port,
-                               unix_path=args.unix,
-                               timeout=args.timeout) as plain:
-                result = plain.call(args.verb, params)
+            client = ServiceClient(**endpoint)  # connects here
+        with client:
+            result = client.call(args.verb, params)
     except RetryExhausted as exc:
         print(f"retries exhausted: {exc}", file=sys.stderr)
         return 4
-    except api.Overloaded as exc:
-        print(f"overloaded: {exc}", file=sys.stderr)
-        return 3
     except api.ApiError as exc:
-        payload = exc.to_payload()
-        print(f"{payload['code']}: {payload['message']}", file=sys.stderr)
-        return 1
+        print(f"{exc.code}: {exc.message}", file=sys.stderr)
+        return 3 if isinstance(exc, api.Overloaded) else 1
     except OSError as exc:
-        print(f"cannot reach the daemon: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot reach the daemon: {exc}") from exc
     finally:
         if trace_token is not None:
             _tracectx.restore(trace_token)
     _emit(args, json.dumps(result, indent=2), result)
     return 0
+
+
+def _write_or_print(rendered: str, out: Optional[str], what: str) -> None:
+    """Write ``rendered`` to ``out`` (announcing it as ``what``), else print it."""
+    if out:
+        with open(out, "w") as handle:
+            handle.write(rendered)
+        print(f"{what} written to {out}")
+    else:
+        print(rendered)
 
 
 def _parse_named_inputs(pairs) -> list:
@@ -794,19 +772,16 @@ def _parse_named_inputs(pairs) -> list:
     return named
 
 
-def _cmd_obs_stitch(args) -> int:
+def cmd_obs_stitch(args) -> int:
     """``repro obs trace stitch`` — merge per-process snapshots into one
     clock-aligned Chrome trace for a single distributed trace id."""
     try:
-        named = _parse_named_inputs(args.inputs)
-        if not named:
-            print("nothing to stitch: pass at least one --in NAME=PATH",
-                  file=sys.stderr)
-            return 2
-        named = [(name, unwrap_snapshot(doc)) for name, doc in named]
+        named = [(name, unwrap_snapshot(doc))
+                 for name, doc in _parse_named_inputs(args.inputs)]
     except (OSError, ValueError) as exc:
-        print(f"cannot read telemetry snapshot: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot read telemetry snapshot: {exc}") from exc
+    if not named:
+        raise UsageError("nothing to stitch: pass at least one --in NAME=PATH")
     if args.list:
         traces = list_traces(named)
         if not traces:
@@ -820,84 +795,75 @@ def _cmd_obs_stitch(args) -> int:
     try:
         rendered = stitch_chrome_trace(named, trace_id=args.trace_id)
     except ValueError as exc:
-        print(f"stitch failed: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered)
-        print(f"stitched chrome trace written to {args.out}")
-    else:
-        print(rendered)
+        raise UsageError(f"stitch failed: {exc}") from exc
+    _write_or_print(rendered, args.out, "stitched chrome trace")
     return 0
 
 
-def cmd_obs(args) -> int:
-    """``repro obs report|export|dashboard|watch|trace`` — telemetry
-    snapshot inspection.
-
-    ``report`` prints a one-screen summary (or the raw document with
-    ``--format json``); ``export`` re-renders it as Prometheus text
-    (``--format prom``), pretty JSON, or Chrome trace JSON of its spans;
-    ``dashboard`` writes the self-contained HTML observatory and prints
-    the terminal view; ``watch`` re-renders the terminal view
-    periodically; ``trace stitch`` merges per-process snapshots into one
-    clock-aligned distributed timeline.
-    """
-    if args.action == "trace":
-        return _cmd_obs_stitch(args)
-    if args.action == "watch":
-        formatter = None
-        if args.format == "json":
-            formatter = lambda data: json.dumps(data, indent=2)  # noqa: E731
-        try:
-            _insight.watch(
-                args.metrics, interval=args.interval, count=args.count,
-                formatter=formatter,
-            )
-        except (OSError, ValueError) as exc:
-            print(f"cannot read telemetry snapshot: {exc}", file=sys.stderr)
-            return 2
-        except KeyboardInterrupt:
-            pass
-        return 0
+def _read_snapshot(path: str) -> dict:
+    """The validated telemetry snapshot document at ``path``."""
     try:
-        with open(args.metrics) as handle:
+        with open(path) as handle:
             doc = json.load(handle)
         validate_snapshot(doc)
     except (OSError, ValueError) as exc:
-        print(f"cannot read telemetry snapshot: {exc}", file=sys.stderr)
-        return 2
-    if args.action == "report":
-        _emit(args, render_report(doc), doc)
-        return 0
-    if args.action == "dashboard":
-        bench, warnings = _load_bench_files(args.bench)
-        data = _insight.build_dashboard(doc, bench=bench, warnings=warnings)
-        with open(args.out, "w") as handle:
-            handle.write(_insight.render_html(data))
-        text = _insight.render_terminal(data)
-        text += f"\n\ndashboard written to {args.out}"
-        _emit(args, text, data)
-        return 0
+        raise UsageError(f"cannot read telemetry snapshot: {exc}") from exc
+    return doc
+
+
+def cmd_obs_report(args) -> int:
+    doc = _read_snapshot(args.metrics)
+    _emit(args, render_report(doc), doc)
+    return 0
+
+
+def cmd_obs_export(args) -> int:
+    doc = _read_snapshot(args.metrics)
     if args.format == "prom":
         rendered = snapshot_prometheus(doc)
     elif args.format == "json":
         rendered = json.dumps(doc, indent=2)
     else:  # chrome
         rendered = chrome_trace(doc.get("spans", []))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered)
-        print(f"{args.format} export written to {args.out}")
-    else:
-        print(rendered)
+    _write_or_print(rendered, args.out, f"{args.format} export")
+    return 0
+
+
+def cmd_obs_dashboard(args) -> int:
+    doc = _read_snapshot(args.metrics)
+    bench, warnings = _load_bench_files(args.bench)
+    data = _insight.build_dashboard(doc, bench=bench, warnings=warnings)
+    with open(args.out, "w") as handle:
+        handle.write(_insight.render_html(data))
+    text = _insight.render_terminal(data)
+    text += f"\n\ndashboard written to {args.out}"
+    _emit(args, text, data)
+    return 0
+
+
+def cmd_obs_watch(args) -> int:
+    formatter = None
+    if args.format == "json":
+        formatter = lambda data: json.dumps(data, indent=2)  # noqa: E731
+    try:
+        _insight.watch(
+            args.metrics, interval=args.interval, count=args.count,
+            formatter=formatter,
+        )
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read telemetry snapshot: {exc}") from exc
+    except KeyboardInterrupt:
+        pass
     return 0
 
 
 def cmd_experiment(args) -> int:
-    from repro.experiments import run_experiment
+    from repro.experiments import ALL_EXPERIMENTS
 
-    result = run_experiment(args.id, quick=args.quick, seed=args.seed)
+    if args.id not in ALL_EXPERIMENTS:
+        raise UsageError(f"unknown experiment {args.id!r}; "
+                         f"available: {sorted(ALL_EXPERIMENTS)}")
+    result = ALL_EXPERIMENTS[args.id](quick=args.quick, seed=args.seed)
     _emit(args, result.render(), {
         "id": args.id,
         "title": result.title,
@@ -913,7 +879,7 @@ def cmd_experiment(args) -> int:
         else:
             with open(args.csv, "w") as handle:
                 handle.write(csv)
-            if getattr(args, "format", "text") == "text":
+            if args.format == "text":
                 print(f"series written to {args.csv}")
     return 0 if result.all_checks_pass else 1
 
@@ -928,9 +894,16 @@ def cmd_report(args) -> int:
         argv.extend(["--out", args.out])
     argv.extend(["--seed", str(args.seed)])
     code = report_main(argv)
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps({"out": args.out, "passed": code == 0}, indent=2))
     return code
+
+
+def _command(subparsers, name: str, run, **kwargs) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` whose parsed arguments are handled by ``run``."""
+    parser = subparsers.add_parser(name, **kwargs)
+    parser.set_defaults(run=run)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -939,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="LMO communication performance model reproduction toolkit",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--profile", choices=sorted(PROFILES), default="lam")
+    parser.add_argument("--profile", choices=sorted(api.PROFILES), default="lam")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json"], default="text",
                         help="output format (JSON to stdout, errors to stderr)")
@@ -947,12 +920,18 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--metrics-out", default=None, metavar="PATH",
                          help="enable telemetry and write the snapshot "
                               "(metrics, spans, events) to this JSON file")
+    model_file = argparse.ArgumentParser(add_help=False)
+    model_file.add_argument("--model-file", required=True)
+    snapshot = argparse.ArgumentParser(add_help=False)
+    snapshot.add_argument("--metrics", required=True,
+                          help="snapshot JSON written by --metrics-out")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("describe", help="print the Table I cluster", parents=[common])
+    _command(sub, "describe", cmd_describe, help="print the Table I cluster",
+             parents=[common])
 
-    p_est = sub.add_parser("estimate", help="estimate model parameters",
-                           parents=[common])
+    p_est = _command(sub, "estimate", cmd_estimate, help="estimate model parameters",
+                     parents=[common])
     p_est.add_argument("--model", choices=["lmo", "hockney", "loggp", "plogp"],
                        default="lmo")
     p_est.add_argument("--out", required=True, help="output JSON path")
@@ -962,24 +941,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--empirical", action="store_true",
                        help="also detect gather M1/M2 (LMO only)")
 
-    p_pred = sub.add_parser("predict", help="predict a collective from a model file",
-                            parents=[common])
-    p_pred.add_argument("--model-file", required=True)
-    p_pred.add_argument("--operation", choices=PREDICT_OPERATIONS, default="scatter")
-    p_pred.add_argument("--algorithm", choices=PREDICT_ALGORITHMS, default="linear")
+    p_pred = _command(sub, "predict", cmd_predict,
+                      help="predict a collective from a model file",
+                      parents=[common, model_file])
+    p_pred.add_argument("--operation", default="scatter",
+                        choices=list(dict.fromkeys(op for op, _ in PREDICTION_MENU)))
+    p_pred.add_argument("--algorithm", default="linear",
+                        choices=list(dict.fromkeys(algo for _, algo in PREDICTION_MENU)))
     p_pred.add_argument("--nbytes", type=int, required=True)
     p_pred.add_argument("--root", type=int, default=0)
 
-    p_meas = sub.add_parser("measure", help="benchmark a collective on the simulator",
-                            parents=[common])
+    p_meas = _command(sub, "measure", cmd_measure,
+                      help="benchmark a collective on the simulator", parents=[common])
     p_meas.add_argument("--operation", default="scatter")
     p_meas.add_argument("--algorithm", default="linear")
     p_meas.add_argument("--nbytes", type=int, required=True)
     p_meas.add_argument("--root", type=int, default=0)
     p_meas.add_argument("--max-reps", type=int, default=25)
 
-    p_trace = sub.add_parser("trace", help="print a collective's activity timeline",
-                             parents=[common])
+    p_trace = _command(sub, "trace", cmd_trace,
+                       help="print a collective's activity timeline", parents=[common])
     p_trace.add_argument("action", nargs="?", default="show",
                          choices=["show", "export"],
                          help="show the ASCII timeline (default) or export "
@@ -994,18 +975,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--width", type=int, default=72)
     p_trace.add_argument("--max-lanes", type=int, default=12)
 
-    p_suite = sub.add_parser("suite", help="benchmark the whole algorithm menu",
-                             parents=[common, metrics])
+    p_suite = _command(sub, "suite", cmd_suite, help="benchmark the whole algorithm menu",
+                       parents=[common, metrics])
     p_suite.add_argument("--operations", default=None,
                          help="comma-separated (default: all)")
     p_suite.add_argument("--sizes", default=f"{KB},{16 * KB},{128 * KB}",
                          help="comma-separated byte counts")
     p_suite.add_argument("--max-reps", type=int, default=8)
 
-    p_part = sub.add_parser("partition",
-                            help="min-makespan data distribution from a model file",
-                            parents=[common])
-    p_part.add_argument("--model-file", required=True)
+    p_part = _command(sub, "partition", cmd_partition,
+                      help="min-makespan data distribution from a model file",
+                      parents=[common, model_file])
     p_part.add_argument("--total", type=int, required=True)
     p_part.add_argument("--work-rate", type=float, default=100e-9,
                         help="uniform compute cost, s/B")
@@ -1013,17 +993,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated per-rank costs (overrides --work-rate)")
     p_part.add_argument("--root", type=int, default=0)
 
-    p_plan = sub.add_parser("plan",
-                            help="choose algorithms for an application's collectives",
-                            parents=[common])
-    p_plan.add_argument("--model-file", required=True)
+    p_plan = _command(sub, "plan", cmd_plan,
+                      help="choose algorithms for an application's collectives",
+                      parents=[common, model_file])
     p_plan.add_argument("calls", nargs="+",
                         help="call specs op:nbytes[:count], e.g. bcast:65536:10")
 
-    p_drift = sub.add_parser("drift",
-                             help="spot-check a saved model for drift (exit 1 if drifted)",
-                             parents=[common])
-    p_drift.add_argument("--model-file", required=True)
+    p_drift = _command(sub, "drift", cmd_drift,
+                       help="spot-check a saved model for drift (exit 1 if drifted)",
+                       parents=[common, model_file])
     p_drift.add_argument("--nbytes", type=int, default=32 * KB)
     p_drift.add_argument("--threshold", type=float, default=0.15)
     p_drift.add_argument("--reps", type=int, default=3)
@@ -1031,9 +1009,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="slow this node before checking (fault demo)")
     p_drift.add_argument("--degrade-factor", type=float, default=4.0)
 
-    p_chaos = sub.add_parser("chaos",
-                             help="fault-injection demo: estimate, inject, self-heal",
-                             parents=[common, metrics])
+    p_chaos = _command(sub, "chaos", cmd_chaos,
+                       help="fault-injection demo: estimate, inject, self-heal",
+                       parents=[common, metrics])
     p_chaos.add_argument("--nodes", type=int, default=8,
                          help="cluster size (prefix of Table I)")
     p_chaos.add_argument("--cycles", type=int, default=3,
@@ -1085,8 +1063,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the sweep (default 1 = serial in-process; "
              "N > 1 runs node-triplet unit groups on a pool of N worker "
              "processes — same model bit-for-bit)")
-    p_camp_run = camp_sub.add_parser(
-        "run", help="start a fresh campaign (journal must not exist)",
+    p_camp_run = _command(
+        camp_sub, "run", cmd_campaign_run,
+        help="start a fresh campaign (journal must not exist)",
         parents=[common, camp_budgets, camp_io, camp_workers, metrics])
     p_camp_run.add_argument("--reps", type=int, default=3)
     p_camp_run.add_argument("--timeout", type=float, default=1.0,
@@ -1094,16 +1073,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp_run.add_argument("--coverage-floor", type=float, default=0.5,
                             help="coverage fraction below which the result "
                                  "is flagged (still produced)")
-    camp_sub.add_parser(
-        "resume", help="continue an interrupted campaign from its journal",
-        parents=[common, camp_budgets, camp_io, camp_workers, metrics])
-    camp_sub.add_parser(
-        "status", help="inspect a journal without attaching a cluster",
-        parents=[common, camp_io])
+    _command(camp_sub, "resume", cmd_campaign_resume,
+             help="continue an interrupted campaign from its journal",
+             parents=[common, camp_budgets, camp_io, camp_workers, metrics])
+    _command(camp_sub, "status", cmd_campaign_status,
+             help="inspect a journal without attaching a cluster",
+             parents=[common, camp_io])
 
-    p_serve = sub.add_parser(
-        "serve", help="run the always-on prediction daemon",
-        parents=[common])
+    p_serve = _command(sub, "serve", cmd_serve,
+                       help="run the always-on prediction daemon", parents=[common])
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7725,
                          help="TCP port (0 = ephemeral; the bound endpoint "
@@ -1137,9 +1115,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sliding crash-loop window in seconds "
                               "(default 60)")
 
-    p_client = sub.add_parser(
-        "client", help="send one request to a running repro serve daemon",
-        parents=[common])
+    p_client = _command(sub, "client", cmd_client,
+                        help="send one request to a running repro serve daemon",
+                        parents=[common])
     p_client.add_argument("verb",
                           choices=["drain", "estimate", "health", "obs",
                                    "optimize", "predict", "predict_many"])
@@ -1173,38 +1151,32 @@ def build_parser() -> argparse.ArgumentParser:
              "and cross-process traces",
     )
     obs_sub = p_obs.add_subparsers(dest="action", required=True)
-    p_obs_report = obs_sub.add_parser(
-        "report", help="one-screen summary of a telemetry snapshot",
-        parents=[common])
-    p_obs_report.add_argument("--metrics", required=True,
-                              help="snapshot JSON written by --metrics-out")
-    p_obs_export = obs_sub.add_parser(
-        "export", help="re-render a snapshot as prom / json / chrome trace")
-    p_obs_export.add_argument("--metrics", required=True,
-                              help="snapshot JSON written by --metrics-out")
+    _command(obs_sub, "report", cmd_obs_report,
+             help="one-screen summary of a telemetry snapshot",
+             parents=[common, snapshot])
+    p_obs_export = _command(
+        obs_sub, "export", cmd_obs_export,
+        help="re-render a snapshot as prom / json / chrome trace", parents=[snapshot])
     p_obs_export.add_argument("--format", choices=["prom", "json", "chrome"],
                               default="prom",
                               help="Prometheus text, pretty JSON, or Chrome "
                                    "trace JSON of the recorded spans")
     p_obs_export.add_argument("--out", default=None,
                               help="write here instead of stdout")
-    p_obs_dash = obs_sub.add_parser(
-        "dashboard",
+    p_obs_dash = _command(
+        obs_sub, "dashboard", cmd_obs_dashboard,
         help="self-contained HTML observatory + terminal summary",
-        parents=[common])
-    p_obs_dash.add_argument("--metrics", required=True,
-                            help="snapshot JSON written by --metrics-out")
+        parents=[common, snapshot])
     p_obs_dash.add_argument("--out", default="dash.html",
                             help="HTML output path (default dash.html)")
     p_obs_dash.add_argument("--bench", action="append", default=None,
                             help="BENCH_*.json file to include in the "
                                  "trajectory section (repeatable; default: "
                                  "every BENCH_*.json in the cwd)")
-    p_obs_watch = obs_sub.add_parser(
-        "watch", help="periodic terminal re-render of a snapshot file",
-        parents=[common])
-    p_obs_watch.add_argument("--metrics", required=True,
-                             help="snapshot JSON written by --metrics-out")
+    p_obs_watch = _command(
+        obs_sub, "watch", cmd_obs_watch,
+        help="periodic terminal re-render of a snapshot file",
+        parents=[common, snapshot])
     p_obs_watch.add_argument("--interval", type=float, default=2.0,
                              help="seconds between refreshes")
     p_obs_watch.add_argument("--count", type=int, default=None,
@@ -1213,8 +1185,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="merge per-process snapshots into one distributed timeline")
     trace_sub = p_obs_trace.add_subparsers(dest="trace_action", required=True)
-    p_obs_stitch = trace_sub.add_parser(
-        "stitch",
+    p_obs_stitch = _command(
+        trace_sub, "stitch", cmd_obs_stitch,
         help="clock-aligned Chrome trace across processes for one trace id")
     p_obs_stitch.add_argument("--in", dest="inputs", action="append",
                               metavar="NAME=PATH", default=None,
@@ -1231,43 +1203,32 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the Chrome trace here instead of "
                                    "stdout")
 
-    p_exp = sub.add_parser("experiment", help="regenerate one paper table/figure",
-                           parents=[common])
-    p_exp.add_argument("id", help="fig1..fig7, table1, table2, estimation_cost, "
-                                  "thresholds, ablations, menu_accuracy")
+    p_exp = _command(sub, "experiment", cmd_experiment,
+                     help="regenerate one paper table/figure", parents=[common])
+    p_exp.add_argument("id", help="experiment id, e.g. fig1 or table2 (an "
+                                  "unknown id lists them all)")
     p_exp.add_argument("--quick", action="store_true")
     p_exp.add_argument("--csv", default=None, help="also dump the series as CSV")
 
-    p_rep = sub.add_parser("report", help="regenerate every experiment (markdown)",
-                           parents=[common])
+    p_rep = _command(sub, "report", cmd_report,
+                     help="regenerate every experiment (markdown)", parents=[common])
     p_rep.add_argument("--quick", action="store_true")
     p_rep.add_argument("--out", default=None)
     return parser
 
 
-COMMANDS = {
-    "describe": cmd_describe,
-    "estimate": cmd_estimate,
-    "predict": cmd_predict,
-    "measure": cmd_measure,
-    "trace": cmd_trace,
-    "suite": cmd_suite,
-    "partition": cmd_partition,
-    "plan": cmd_plan,
-    "drift": cmd_drift,
-    "chaos": cmd_chaos,
-    "campaign": cmd_campaign,
-    "serve": cmd_serve,
-    "client": cmd_client,
-    "obs": cmd_obs,
-    "experiment": cmd_experiment,
-    "report": cmd_report,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return args.run(args)
+    except UsageError as exc:
+        message = str(exc)
+    except api.ApiError as exc:
+        message = f"{exc.code}: {exc.message}"
+    except OSError as exc:
+        message = str(exc)
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - module entry

@@ -9,7 +9,8 @@ from typing import Callable
 
 from repro.mpi.collectives import advanced, binomial, composite, linear, ring
 
-__all__ = ["ALGORITHMS", "advanced", "binomial", "composite", "linear", "ring", "get_algorithm"]
+__all__ = ["ALGORITHMS", "VARIABLE_BLOCK", "advanced", "binomial", "composite", "linear", "ring",
+           "get_algorithm"]
 
 #: (operation, algorithm) -> rank-program generator function.
 ALGORITHMS: dict[tuple[str, str], Callable] = {
@@ -35,6 +36,9 @@ ALGORITHMS: dict[tuple[str, str], Callable] = {
     ("reduce_scatter", "ring"): composite.ring_reduce_scatter,
     ("barrier", "binomial"): binomial.barrier,
 }
+
+#: Operations that take per-rank ``counts`` instead of one block size.
+VARIABLE_BLOCK = frozenset({"scatterv", "gatherv"})
 
 
 def get_algorithm(operation: str, algorithm: str) -> Callable:

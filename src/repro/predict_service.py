@@ -43,6 +43,7 @@ from repro.models.collectives.formulas import (
 from repro.models.collectives.formulas_ext import _PREDICTORS, predict_collective_sweep
 
 __all__ = [
+    "PREDICTION_MENU",
     "PredictRequest",
     "available_algorithms",
     "cache_info",
@@ -61,6 +62,10 @@ _CORE_SWEEPS = {
     ("gather", "linear"): predict_linear_gather_sweep,
     ("gather", "binomial"): predict_binomial_gather_sweep,
 }
+
+#: Every predictable (operation, algorithm) pair in menu order: the
+#: collectives every model supports, then the extended-LMO menu.
+PREDICTION_MENU = (*_CORE_SWEEPS, *_PREDICTORS)
 
 _CACHE_MAXSIZE = 256
 _cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()

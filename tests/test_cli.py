@@ -1,10 +1,18 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro import api
 from repro.cli import main
 from repro.io import load
 from repro.models import ExtendedLMOModel, HeterogeneousHockneyModel
+
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def test_describe_prints_cluster(capsys):
@@ -74,6 +82,76 @@ def test_predict_unsupported_combination(tmp_path, capsys):
     assert "no prediction formula" in capsys.readouterr().err
 
 
+def test_predict_answers_the_whole_menu_as_the_api_does(tmp_path, capsys):
+    out_file = tmp_path / "lmo.json"
+    main(["estimate", "--model", "lmo", "--quick", "--reps", "1",
+          "--out", str(out_file)])
+    capsys.readouterr()
+    model = load(str(out_file))
+    menu = [pair for pair in api.available_algorithms(model) if pair[0] != "p2p"]
+    assert len(menu) == 14
+    for operation, algorithm in menu:
+        assert main(["predict", "--model-file", str(out_file),
+                     "--operation", operation, "--algorithm", algorithm,
+                     "--nbytes", "65536", "--format", "json"]) == 0, (operation, algorithm)
+        doc = json.loads(capsys.readouterr().out)
+        del doc["cache"]
+        assert doc == api.predict(model, operation, algorithm, 65536).to_dict()
+
+
+@pytest.fixture(scope="module")
+def bad_input_dir(tmp_path_factory):
+    """Saved 4-node models and a telemetry snapshot (not a model)."""
+    root = tmp_path_factory.mktemp("bad-input")
+    cluster = api.load_cluster(nodes=4)
+    for name in ("lmo", "hockney", "plogp"):
+        outcome = api.estimate(cluster, model=name, reps=1, quick=True)
+        api.save_model(outcome.model, str(root / f"{name}.json"))
+    (root / "snapshot.json").write_text(json.dumps(
+        {"format": "repro-telemetry", "version": 1, "metrics": {}, "spans": [],
+         "events": []}))
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["predict", "--model-file", "lmo.json", "--nbytes", "-5"],
+                 id="predict-negative-nbytes"),
+    pytest.param(["predict", "--model-file", "lmo.json", "--nbytes", "10", "--root", "99"],
+                 id="predict-root-out-of-range"),
+    pytest.param(["predict", "--model-file", "missing.json", "--nbytes", "10"],
+                 id="predict-missing-model-file"),
+    pytest.param(["predict", "--model-file", "snapshot.json", "--nbytes", "10"],
+                 id="predict-snapshot-as-model"),
+    pytest.param(["estimate", "--quick", "--reps", "1", "--out", "no-such-dir/x.json"],
+                 id="estimate-unwritable-out"),
+    pytest.param(["campaign", "run", "--journal", "c.jsonl", "--nodes", "1"],
+                 id="campaign-one-node"),
+    pytest.param(["measure", "--operation", "bogus", "--nbytes", "10"],
+                 id="measure-unknown-operation"),
+    pytest.param(["trace", "--operation", "bogus"], id="trace-unknown-operation"),
+    pytest.param(["measure", "--operation", "scatterv", "--nbytes", "10"],
+                 id="measure-variable-block"),
+    pytest.param(["trace", "--operation", "gatherv"], id="trace-variable-block"),
+    pytest.param(["measure", "--root", "40", "--nbytes", "10"], id="measure-root-out-of-range"),
+    pytest.param(["suite", "--sizes", "abc"], id="suite-bad-sizes"),
+    pytest.param(["plan", "--model-file", "lmo.json", "bcast:abc"], id="plan-bad-nbytes"),
+    pytest.param(["partition", "--model-file", "hockney.json", "--total", "1000"],
+                 id="partition-hockney-model"),
+    pytest.param(["partition", "--model-file", "plogp.json", "--total", "1000"],
+                 id="partition-plogp-model"),
+])
+def test_bad_input_is_one_stderr_line_and_exit_2(argv, bad_input_dir):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv], cwd=bad_input_dir,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_measure_reports_ci(capsys):
     assert main(["measure", "--nbytes", "8192", "--max-reps", "6"]) == 0
     out = capsys.readouterr().out
@@ -95,9 +173,11 @@ def test_experiment_subcommand(capsys):
     assert "[PASS]" in out
 
 
-def test_experiment_unknown_id():
-    with pytest.raises(KeyError):
-        main(["experiment", "fig99"])
+def test_experiment_unknown_id(capsys):
+    assert main(["experiment", "fig99"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("unknown experiment 'fig99'; available: ")
+    assert "'accuracy_table'" in err and "'thresholds'" in err
 
 
 def test_report_quick_to_file(tmp_path, capsys):
