@@ -3,12 +3,18 @@
 Drives 8-node scatter/gather/bcast runs (linear and binomial algorithms,
 1/16/128 KB blocks, 140 repetitions, seed 0: 201,630 kernel events)
 through :func:`repro.mpi.runtime.run_collective` and times the whole
-loop with :func:`timeit.repeat`.  Each timed repetition builds a freshly
-seeded cluster (about 0.2 ms), so every repetition replays the same
-event stream; the test asserts that.  The minimum over the repetitions
-is the committed number: ``BENCH_kernel.json`` at the repo root, gated
-by ``benchmarks/check_bench_regression.py`` on
+loop with :func:`timeit.timeit`, 10 times.  Each timed repetition builds
+a freshly seeded cluster (about 0.2 ms), so every repetition replays the
+same event stream; the test asserts that.  The minimum over the
+repetitions is the committed number: ``BENCH_kernel.json`` at the repo
+root, gated by ``benchmarks/check_bench_regression.py`` on
 ``wall_seconds_per_million_events``.
+
+The timed repetitions are spread out, 1 s apart, as in
+``benchmarks/test_startup.py``: on a 2-vCPU VM, host-wide slow phases of
+about 10 s can hold every one of a few back-to-back timings (about 3 s
+in all) and fail the 25% gate on unchanged code.  Spread over some 16 s,
+the minimum comes from outside such a phase.
 
 Garbage collection stays on while timing (``timeit`` turns it off
 unless the setup turns it back on), as it is in real runs: a finished
@@ -22,6 +28,7 @@ Run with::
 
 import gc
 import json
+import time
 import timeit
 from pathlib import Path
 
@@ -43,8 +50,9 @@ COLLECTIVES = (
 #: kernel time, long enough that the 25% gate sits well outside timer noise.
 REPS = 140
 SEED = 0
-#: Timed repetitions; the minimum is the least disturbed one.
-REPEATS = 5
+#: Timed repetitions, each after a pause; the minimum is the least disturbed one.
+REPEATS = 10
+PAUSE_SECONDS = 1.0
 
 
 def run_workload(cluster) -> int:
@@ -64,7 +72,10 @@ def test_kernel_throughput():
     def timed():
         counts.append(run_workload(api.load_cluster(nodes=NODES, seed=SEED)))
 
-    times = timeit.repeat(timed, setup=gc.enable, number=1, repeat=REPEATS)
+    times = []
+    for _ in range(REPEATS):
+        time.sleep(PAUSE_SECONDS)
+        times.append(timeit.timeit(timed, setup=gc.enable, number=1))
 
     # Every repetition replayed the same seeded event stream...
     assert len(set(counts)) == 1, counts
@@ -82,6 +93,7 @@ def test_kernel_throughput():
         "collective_runs": REPS * len(SIZES) * len(COLLECTIVES),
         "events_processed": events,
         "repeats": REPEATS,
+        "pause_seconds": PAUSE_SECONDS,
         "wall_seconds": round(wall, 6),
         "wall_seconds_all": [round(t, 6) for t in times],
         "events_per_second": round(events / wall, 1),

@@ -77,6 +77,7 @@ from repro.estimation import (
     sweep_collective,
     unmerged_shard_set,
 )
+from repro.estimation.empirical import IRREGULARITY_SIZES
 from repro.models.lmo_extended import ExtendedLMOModel
 from repro.obs import Telemetry
 from repro.obs import runtime as _obs_runtime
@@ -130,8 +131,6 @@ __all__ = [
     "campaign_status",
     "telemetry",
 ]
-
-KB = 1024
 
 #: MPI implementation profiles selectable by name.
 PROFILES = {
@@ -221,10 +220,7 @@ def estimate(
         ).model
         if empirical:
             sweep = sweep_collective(
-                engine, "gather", "linear",
-                sizes=[2 * KB, 4 * KB, 8 * KB, 16 * KB, 32 * KB, 48 * KB,
-                       64 * KB, 80 * KB, 96 * KB],
-                reps=12,
+                engine, "gather", "linear", sizes=IRREGULARITY_SIZES, reps=12
             )
             estimated = estimated.with_irregularity(detect_gather_irregularity(sweep))
     elif model == "hockney":

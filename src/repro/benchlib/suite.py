@@ -87,14 +87,16 @@ class BenchmarkSuite:
         self,
         operations: Optional[Sequence[str]] = None,
         sizes: Sequence[int] = DEFAULT_SIZES,
-        skip_power_of_two_only: bool = True,
     ) -> SuiteResult:
         """Measure every registered algorithm of the chosen operations.
 
         Algorithms that cannot run on this cluster (power-of-two-only on
-        a non-power-of-two size, etc.) are skipped when
-        ``skip_power_of_two_only`` is set, else raise.
+        a non-power-of-two size, etc.) are skipped.  A negative size is
+        rejected up front, so that skipping cannot hide it.
         """
+        for nbytes in sizes:
+            if nbytes < 0:
+                raise ValueError(f"negative message size {nbytes}")
         chosen = set(operations) if operations is not None else {
             op for op, _algo in ALGORITHMS
         }
@@ -113,8 +115,6 @@ class BenchmarkSuite:
                     point = self.bench.measure(operation, algorithm, int(nbytes),
                                                **kwargs)
                 except ValueError:
-                    if skip_power_of_two_only:
-                        continue
-                    raise
+                    continue
                 result.points[(operation, algorithm, int(nbytes))] = point
         return result

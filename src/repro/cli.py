@@ -11,9 +11,10 @@ Each subcommand's parser carries its handler (``set_defaults(run=...)``).
 Every subcommand takes ``--format {text,json}``; JSON goes to stdout,
 errors always go to stderr (see ``docs/cli.md``).  Handlers report bad
 input by raising, and :func:`main` turns the error into one stderr line
-and exit code 2: a :class:`UsageError` verbatim, an
-:class:`repro.api.ApiError` as ``code: message``, an ``OSError`` as its
-message.
+and exit code 2: a :class:`UsageError` verbatim, an ``OSError`` as its
+message, and an :class:`repro.api.ApiError`, ``ValueError`` or
+``LookupError`` (also one raised below the facade) as ``code: message``
+in the taxonomy of :func:`repro.api.errors.error_payload`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 from typing import Optional
 
 from repro import api
+from repro.api.errors import error_payload
 from repro.cluster import (
     FaultInjector,
     FaultPlan,
@@ -1223,10 +1225,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.run(args)
     except UsageError as exc:
         message = str(exc)
-    except api.ApiError as exc:
-        message = f"{exc.code}: {exc.message}"
     except OSError as exc:
         message = str(exc)
+    except (api.ApiError, ValueError, LookupError) as exc:
+        payload = error_payload(exc)
+        message = f"{payload['code']}: {payload['message']}"
     print(message, file=sys.stderr)
     return 2
 

@@ -22,9 +22,7 @@ from repro.estimation.campaign import (
 )
 from repro.estimation.empirical import (
     GatherSweep,
-    ScatterLeap,
     detect_gather_irregularity,
-    detect_scatter_leap,
     sweep_collective,
 )
 from repro.estimation.drift import DriftReport, detect_model_drift, spot_check_pairs
@@ -40,15 +38,10 @@ from repro.estimation.experiments import (
 from repro.estimation.hockney_est import (
     HockneyEstimationResult,
     estimate_heterogeneous_hockney,
-    estimate_hockney,
-    estimate_hockney_series,
 )
-from repro.estimation.sensitivity import ProbeSensitivity, probe_sensitivity
 from repro.estimation.lmo_est import (
     LMOEstimationResult,
-    all_triplets,
     estimate_extended_lmo,
-    estimate_original_lmo,
     star_triplets,
 )
 from repro.estimation.logp_est import LogPEstimationResult, estimate_loggp, estimate_logp
@@ -90,7 +83,6 @@ from repro.estimation.scheduling import (
     pair_rounds,
     run_schedule,
     run_schedule_adaptive,
-    triplet_rounds,
 )
 
 __all__ = [
@@ -121,7 +113,6 @@ __all__ = [
     "GatherSweep",
     "HealthRecord",
     "HockneyEstimationResult",
-    "ProbeSensitivity",
     "LMOEstimationResult",
     "LogPEstimationResult",
     "MaintainerPolicy",
@@ -132,20 +123,14 @@ __all__ = [
     "RetryPolicy",
     "RobustLMOResult",
     "RobustRunStats",
-    "ScatterLeap",
     "adaptive_sizes",
-    "all_triplets",
     "campaign_status",
     "cluster_fingerprint",
     "detect_gather_irregularity",
     "detect_model_drift",
-    "detect_scatter_leap",
     "estimate_extended_lmo",
     "estimate_extended_lmo_robust",
-    "estimate_original_lmo",
     "estimate_heterogeneous_hockney",
-    "estimate_hockney",
-    "estimate_hockney_series",
     "estimate_loggp",
     "estimate_logp",
     "estimate_plogp",
@@ -157,7 +142,6 @@ __all__ = [
     "pair_rounds",
     "parallel_shards_exist",
     "parallel_status",
-    "probe_sensitivity",
     "recipe_for_cluster",
     "replay",
     "roundtrip",
@@ -168,7 +152,6 @@ __all__ = [
     "spot_check_pairs",
     "star_triplets",
     "sweep_collective",
-    "triplet_rounds",
     "unmerged_shard_set",
     "worker_journal_paths",
 ]

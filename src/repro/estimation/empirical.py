@@ -1,4 +1,4 @@
-"""Empirical-parameter extraction: gather thresholds, escalations, leaps.
+"""Empirical-parameter extraction: gather thresholds and escalations.
 
 The LMO model's linear-gather formula (5) carries *empirical* parameters
 found "from the observations of the execution time of linear gather":
@@ -19,12 +19,10 @@ import numpy as np
 
 from repro.estimation.engines import DESEngine
 from repro.models.lmo_extended import GatherIrregularity
-from repro.stats.fitting import linear_fit
 
 __all__ = [
     "GatherSweep",
     "detect_gather_irregularity",
-    "detect_scatter_leap",
     "sweep_collective",
 ]
 
@@ -33,6 +31,11 @@ DEFAULT_SIZES = tuple(
     int(m) for m in (1 * KB, 2 * KB, 4 * KB, 8 * KB, 16 * KB, 24 * KB, 32 * KB,
                      48 * KB, 64 * KB, 80 * KB, 96 * KB, 128 * KB, 160 * KB, 192 * KB)
 )
+#: Sizes of the preliminary linear-gather sweep that model estimation
+#: (the experiments' model suite and ``api.estimate``) runs before
+#: :func:`detect_gather_irregularity`.
+IRREGULARITY_SIZES = (2 * KB, 4 * KB, 8 * KB, 16 * KB, 32 * KB, 48 * KB, 64 * KB,
+                      80 * KB, 96 * KB)
 
 
 @dataclass
@@ -109,37 +112,3 @@ def detect_gather_irregularity(
         p_at_m1=probs[escalating[0]],
         p_at_m2=max(probs[m] for m in escalating),
     )
-
-
-@dataclass
-class ScatterLeap:
-    """A detected jump in the scatter size sweep (paper Fig. 4, 64 KB)."""
-
-    location: int
-    magnitude: float
-    baseline_slope: float
-
-
-def detect_scatter_leap(sweep: GatherSweep, factor: float = 3.0) -> ScatterLeap:
-    """Locate the largest step that breaks the linear trend of a sweep.
-
-    Fits a line to the lower half of the size range (assumed leap-free),
-    then finds the first size whose increment over the previous size
-    exceeds ``factor`` times the fitted slope's prediction.
-    """
-    sizes = np.asarray(sweep.sizes, dtype=float)
-    times = sweep.medians()
-    if sizes.size < 4:
-        raise ValueError("need at least 4 sweep sizes")
-    half = max(2, sizes.size // 2)
-    fit = linear_fit(sizes[:half], times[:half])
-    for idx in range(1, sizes.size):
-        expected_step = fit.slope * (sizes[idx] - sizes[idx - 1])
-        actual_step = times[idx] - times[idx - 1]
-        if actual_step > factor * max(expected_step, 1e-12):
-            return ScatterLeap(
-                location=int(sizes[idx]),
-                magnitude=float(actual_step - expected_step),
-                baseline_slope=fit.slope,
-            )
-    raise ValueError("no leap found: the sweep is consistent with one line")

@@ -1,39 +1,26 @@
-"""Hockney parameter estimation (paper Sec. II).
+"""Hockney parameter estimation (paper Sec. II), roundtrip design.
 
-The paper describes *two* experiment designs:
-
-1. **roundtrips** — empty messages give the latency
-   ``alpha_ij = T_ij(0) / 2``; non-empty ones give the per-byte time
-   ``beta_ij = (T_ij(M)/2 - alpha_ij) / M``;
-2. **one-way series** — ``{i -M_k-> j}``: send messages of several sizes,
-   time each (via an acknowledged half-roundtrip), and fit the line
-   ``alpha + beta M`` by least squares.
-
-The homogeneous model averages the per-pair values.  Experiments over
-disjoint pairs run in parallel — this estimator is the subject of the
-paper's 16 s -> 5 s cost claim.
+Empty roundtrips give the latency ``alpha_ij = T_ij(0) / 2``; non-empty
+ones give the per-byte time ``beta_ij = (T_ij(M)/2 - alpha_ij) / M``.
+The homogeneous model averages the per-pair values
+(``result.model.averaged()``).  Experiments over disjoint pairs run in
+parallel — this estimator is the subject of the paper's 16 s -> 5 s cost
+claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
 from repro.estimation.engines import ExperimentEngine
 from repro.estimation.experiments import Experiment, roundtrip
 from repro.estimation.scheduling import run_schedule
-from repro.models.hockney import HeterogeneousHockneyModel, HockneyModel
-from repro.stats.fitting import linear_fit
+from repro.models.hockney import HeterogeneousHockneyModel
 
-__all__ = [
-    "HockneyEstimationResult",
-    "estimate_heterogeneous_hockney",
-    "estimate_hockney",
-    "estimate_hockney_series",
-]
+__all__ = ["HockneyEstimationResult", "estimate_heterogeneous_hockney"]
 
 KB = 1024
 DEFAULT_PROBE_NBYTES = 32 * KB
@@ -46,10 +33,6 @@ class HockneyEstimationResult:
     model: HeterogeneousHockneyModel
     probe_nbytes: int
     estimation_time: float
-
-    def homogeneous(self) -> HockneyModel:
-        """The averaged (homogeneous) variant."""
-        return self.model.averaged()
 
 
 def estimate_heterogeneous_hockney(
@@ -80,62 +63,5 @@ def estimate_heterogeneous_hockney(
     return HockneyEstimationResult(
         model=HeterogeneousHockneyModel(alpha=alpha, beta=beta),
         probe_nbytes=probe_nbytes,
-        estimation_time=cost,
-    )
-
-
-def estimate_hockney(
-    engine: ExperimentEngine,
-    probe_nbytes: int = DEFAULT_PROBE_NBYTES,
-    reps: int = 5,
-    parallel: bool = True,
-) -> HockneyModel:
-    """The homogeneous model: per-pair estimates averaged."""
-    return estimate_heterogeneous_hockney(
-        engine, probe_nbytes=probe_nbytes, reps=reps, parallel=parallel
-    ).homogeneous()
-
-
-DEFAULT_SERIES_SIZES = (0, 4 * KB, 8 * KB, 16 * KB, 32 * KB, 48 * KB)
-
-
-def estimate_hockney_series(
-    engine: ExperimentEngine,
-    sizes: Sequence[int] = DEFAULT_SERIES_SIZES,
-    reps: int = 3,
-    parallel: bool = True,
-) -> HockneyEstimationResult:
-    """The paper's second design: one-way series ``{i -M_k-> j}`` fitted.
-
-    Each size's one-way time is taken as half the roundtrip with an empty
-    reply minus the reply's constant half (measured at size 0), and the
-    line ``alpha + beta M`` is fitted per pair by least squares.  More
-    experiments than the two-point design, but robust to a single bad
-    probe size.
-    """
-    n = engine.n
-    sizes = sorted(set(int(m) for m in sizes))
-    if len(sizes) < 2:
-        raise ValueError("need at least two series sizes")
-    experiments: list[Experiment] = []
-    for i, j in combinations(range(n), 2):
-        for m in sizes:
-            experiments.append(roundtrip(i, j, m, 0))
-    t_start = engine.estimation_time
-    measured = run_schedule(engine, experiments, parallel=parallel, reps=reps)
-    cost = engine.estimation_time - t_start
-
-    alpha = np.zeros((n, n))
-    beta = np.zeros((n, n))
-    for i, j in combinations(range(n), 2):
-        # Empty-reply roundtrip: T(M) = 2 alpha_ij + beta_ij M, so the
-        # fitted intercept is 2 alpha and the slope is beta directly.
-        times = [measured[roundtrip(i, j, m, 0)] for m in sizes]
-        fit = linear_fit(sizes, times)
-        alpha[i, j] = alpha[j, i] = max(fit.intercept / 2.0, 0.0)
-        beta[i, j] = beta[j, i] = max(fit.slope, 0.0)
-    return HockneyEstimationResult(
-        model=HeterogeneousHockneyModel(alpha=alpha, beta=beta),
-        probe_nbytes=sizes[-1],
         estimation_time=cost,
     )

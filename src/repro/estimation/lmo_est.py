@@ -31,20 +31,17 @@ import numpy as np
 
 from repro.estimation.engines import ExperimentEngine
 from repro.estimation.experiments import Experiment, one_to_two, roundtrip
-from repro.estimation.scheduling import run_schedule, run_schedule_adaptive
+from repro.estimation.scheduling import run_schedule
 from repro.models.lmo_extended import ExtendedLMOModel
-from repro.stats.adaptive import MeasurementPolicy
 
 __all__ = [
     "LMOEstimationResult",
     "TripletSolve",
-    "all_triplets",
     "assemble_model",
     "build_experiment_set",
     "build_schedule",
     "collect_parameter_samples",
     "estimate_extended_lmo",
-    "estimate_original_lmo",
     "solve_triplet",
     "star_triplets",
 ]
@@ -88,11 +85,6 @@ class LMOEstimationResult:
             "L": spread(self.l_samples),
             "beta": spread(self.beta_samples),
         }
-
-
-def all_triplets(n: int) -> list[tuple[int, int, int]]:
-    """Every unordered triplet — the paper's full ``C(n,3)`` design."""
-    return list(combinations(range(n), 3))
 
 
 def star_triplets(n: int, center: int = 0) -> list[tuple[int, int, int]]:
@@ -330,7 +322,6 @@ def estimate_extended_lmo(
     parallel: bool = True,
     triplets: Optional[Sequence[tuple[int, int, int]]] = None,
     clamp: bool = False,
-    policy: Optional[MeasurementPolicy] = None,
 ) -> LMOEstimationResult:
     """Run the full experiment set and solve for the LMO parameters.
 
@@ -353,20 +344,13 @@ def estimate_extended_lmo(
     clamp:
         Clamp estimates to physical ranges (non-negative delays, positive
         rates).  Off by default so exactness tests see raw solutions.
-    policy:
-        When given, use MPIBlib's CI-driven stopping rule per experiment
-        instead of the fixed ``reps`` (the paper's 95%/2.5% discipline).
     """
     n = engine.n
     pairs, base_triplets, experiments = build_schedule(n, probe_nbytes, triplets)
 
     # -- measure -------------------------------------------------------------
     t_start = engine.estimation_time
-    if policy is not None:
-        measured = run_schedule_adaptive(engine, experiments, policy=policy,
-                                         parallel=parallel)
-    else:
-        measured = run_schedule(engine, experiments, parallel=parallel, reps=reps)
+    measured = run_schedule(engine, experiments, parallel=parallel, reps=reps)
     cost = engine.estimation_time - t_start
 
     # -- solve per triplet (eqs. 8 and 11), average (eq. 12) ------------------
@@ -386,25 +370,3 @@ def estimate_extended_lmo(
         l_samples=l_samples,
         beta_samples=beta_samples,
     )
-
-
-def estimate_original_lmo(
-    engine: ExperimentEngine,
-    probe_nbytes: int = DEFAULT_PROBE_NBYTES,
-    reps: int = 5,
-    parallel: bool = True,
-    triplets: Optional[Sequence[tuple[int, int, int]]] = None,
-):
-    """Estimate the *original* five-parameter LMO model [8, 9].
-
-    Runs the same experiment set as the extended estimation and folds the
-    identified network latencies back into the fixed processor delays —
-    the pre-extension model in which "the parameters describing the fixed
-    delays combine the constant contributions of both the processors and
-    the network".
-    """
-    result = estimate_extended_lmo(
-        engine, probe_nbytes=probe_nbytes, reps=reps, parallel=parallel,
-        triplets=triplets, clamp=True,
-    )
-    return result.model.to_original_lmo()

@@ -12,7 +12,7 @@ description of the procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "PLogPEstimationResult",
     "adaptive_sizes",
     "estimate_plogp",
-    "estimate_plogp_heterogeneous_overheads",
 ]
 
 KB = 1024
@@ -125,51 +124,3 @@ def estimate_plogp(
         refinements=refinements,
         estimation_time=engine.estimation_time - t_start,
     )
-
-
-def estimate_plogp_heterogeneous_overheads(
-    engine: ExperimentEngine,
-    sizes: Sequence[int] = (0, 1 * KB, 8 * KB, 32 * KB, 64 * KB),
-    reps: int = 2,
-) -> dict[int, tuple[PiecewiseLinear, PiecewiseLinear]]:
-    """The paper's sketch of a heterogeneous PLogP extension, implemented.
-
-    Sec. II: "since the PLogP overheads o_s(M) and o_r(M) correspond to
-    the processor variable contributions, it is sensible to assume that
-    they should be the same for all point-to-point communications the
-    processor can be involved [in] ... the average processor overheads
-    should be used (averaged from the values found in the experiments
-    between all pairs included the given processor)".
-
-    Returns per-processor ``(o_s, o_r)`` piecewise-linear functions,
-    averaged over that processor's pairs.  (The latency/gap cannot be
-    split per-processor — the paper's point about why a full
-    heterogeneous LogP-family extension is "not trivial".)
-    """
-    from itertools import combinations
-
-    n = engine.n
-    sizes = sorted(set(int(m) for m in sizes))
-    os_samples: dict[int, dict[int, list[float]]] = {
-        i: {m: [] for m in sizes} for i in range(n)
-    }
-    or_samples: dict[int, dict[int, list[float]]] = {
-        i: {m: [] for m in sizes} for i in range(n)
-    }
-    for i, j in combinations(range(n), 2):
-        for m in sizes:
-            for _rep in range(reps):
-                os_samples[i][m].append(engine.run(overhead_send(i, j, m)))
-                os_samples[j][m].append(engine.run(overhead_send(j, i, m)))
-                or_samples[j][m].append(engine.run(overhead_recv(i, j, m)))
-                or_samples[i][m].append(engine.run(overhead_recv(j, i, m)))
-    result: dict[int, tuple[PiecewiseLinear, PiecewiseLinear]] = {}
-    for proc in range(n):
-        o_s = PiecewiseLinear.from_samples(
-            [(m, float(np.mean(os_samples[proc][m]))) for m in sizes]
-        )
-        o_r = PiecewiseLinear.from_samples(
-            [(m, float(np.mean(or_samples[proc][m]))) for m in sizes]
-        )
-        result[proc] = (o_s, o_r)
-    return result

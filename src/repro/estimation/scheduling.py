@@ -7,16 +7,15 @@ rounds: the paper reports heterogeneous-Hockney estimation dropping from
 
 * :func:`pair_rounds` — the circle-method round-robin tournament: all
   ``C(n,2)`` pairs in ``n-1`` rounds of ``floor(n/2)`` disjoint pairs.
-* :func:`triplet_rounds` — greedy packing of all ``3*C(n,3)`` rooted
-  one-to-two experiments into rounds of disjoint triplets.
+* :func:`pack_rounds` — first-fit packing of node tuples (the rooted
+  one-to-two triplets included) into rounds with disjoint nodes.
 * :func:`run_schedule` — execute a list of experiments serially or in
   parallel rounds on an engine, returning per-experiment mean durations.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from repro.stats.ci import summarize
 
 __all__ = [
     "pair_rounds",
-    "triplet_rounds",
     "pack_rounds",
     "run_schedule",
     "run_schedule_adaptive",
@@ -59,23 +57,6 @@ def pair_rounds(n: int) -> list[list[tuple[int, int]]]:
     return rounds
 
 
-def triplet_rounds(n: int) -> list[list[tuple[int, int, int]]]:
-    """All rooted triplets ``(root, a, b)`` packed into disjoint rounds.
-
-    Every unordered triplet ``{i, j, k}`` appears three times, once per
-    root — the ``3 C(n,3)`` one-to-two experiments of the paper.  Greedy
-    first-fit packing; each round holds at most ``floor(n/3)`` triplets.
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    experiments: list[tuple[int, int, int]] = []
-    for i, j, k in combinations(range(n), 3):
-        experiments.append((i, j, k))
-        experiments.append((j, i, k))
-        experiments.append((k, i, j))
-    return pack_rounds(experiments)
-
-
 def pack_rounds(items: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
     """First-fit packing of node tuples into rounds with disjoint nodes.
 
@@ -105,7 +86,6 @@ def run_schedule(
     parallel: bool = True,
     reps: int = 1,
     aggregate: Callable[[Sequence[float]], float] = lambda xs: sum(xs) / len(xs),
-    rounds: Optional[Sequence[Sequence[Experiment]]] = None,
 ) -> dict[Experiment, float]:
     """Execute experiments, serially or packed into parallel rounds.
 
@@ -119,8 +99,6 @@ def run_schedule(
         Repetitions per experiment; results are combined by ``aggregate``
         (mean by default).  Repetitions of the same round run back to
         back, as the paper's estimation procedure does.
-    rounds:
-        Pre-computed packing (otherwise first-fit over ``experiments``).
 
     Returns a mapping from experiment to aggregated duration.
     """
@@ -128,9 +106,7 @@ def run_schedule(
         raise ValueError(f"reps must be >= 1, got {reps}")
     samples: dict[Experiment, list[float]] = {exp: [] for exp in experiments}
     if parallel:
-        if rounds is None:
-            rounds = _grouped_rounds(experiments)
-        for round_exps in rounds:
+        for round_exps in _grouped_rounds(experiments):
             for _rep in range(reps):
                 durations = engine.run_batch(list(round_exps))
                 for exp, duration in zip(round_exps, durations):
@@ -156,7 +132,6 @@ def run_schedule_adaptive(
     experiments: Sequence[Experiment],
     policy: MeasurementPolicy = MeasurementPolicy.paper(),
     parallel: bool = True,
-    robust: bool = True,
 ) -> dict[Experiment, float]:
     """Execute experiments with MPIBlib's CI-driven stopping rule.
 
@@ -166,16 +141,10 @@ def run_schedule_adaptive(
     converged drop out of their round's subsequent batches, shrinking the
     batch makespan — the schedule the paper's 16 s -> 5 s comparison uses.
 
-    Parameters
-    ----------
-    robust:
-        Report the median of the samples instead of the mean (rare OS
-        jitter spikes would otherwise dominate sub-millisecond
-        roundtrips); the CI stopping rule always runs on the raw samples.
-
-    Returns a mapping from experiment to its aggregated duration.
+    Returns a mapping from experiment to the median of its samples (rare
+    OS jitter spikes would otherwise dominate sub-millisecond roundtrips);
+    the CI stopping rule runs on the raw samples.
     """
-    aggregate = np.median if robust else np.mean
     results: dict[Experiment, float] = {}
     if parallel:
         for round_exps in _grouped_rounds(experiments):
@@ -193,7 +162,7 @@ def run_schedule_adaptive(
                 if not pending:
                     break
             for exp, values in samples.items():
-                results[exp] = float(aggregate(values))
+                results[exp] = float(np.median(values))
     else:
         for exp in experiments:
             values: list[float] = []
@@ -203,5 +172,5 @@ def run_schedule_adaptive(
                     values, policy.confidence
                 ).within(policy.rel_err):
                     break
-            results[exp] = float(aggregate(values))
+            results[exp] = float(np.median(values))
     return results

@@ -27,6 +27,7 @@ from repro.estimation import (
     star_triplets,
     sweep_collective,
 )
+from repro.estimation.empirical import IRREGULARITY_SIZES
 from repro.models import ExtendedLMOModel, HeterogeneousHockneyModel, HockneyModel
 from repro.models.loggp import LogGPModel
 from repro.models.plogp import PLogPModel
@@ -233,10 +234,7 @@ class ModelSuite:
         # Empirical part: the preliminary irregularity sweep of Sec. IV.
         mark = engine.estimation_time
         sweep = sweep_collective(
-            engine, "gather", "linear",
-            sizes=[2 * KB, 4 * KB, 8 * KB, 16 * KB, 32 * KB, 48 * KB, 64 * KB,
-                   80 * KB, 96 * KB],
-            reps=8 if quick else 15,
+            engine, "gather", "linear", sizes=IRREGULARITY_SIZES, reps=8 if quick else 15
         )
         irregularity = detect_gather_irregularity(sweep)
         times["lmo_empirical"] = engine.estimation_time - mark

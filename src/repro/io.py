@@ -41,7 +41,6 @@ from repro.models.lmo_extended import ExtendedLMOModel, GatherIrregularity
 from repro.models.plogp import PiecewiseLinear, PLogPModel
 
 __all__ = [
-    "atomic_save",
     "atomic_write_text",
     "dumps",
     "loads",
@@ -121,8 +120,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
     A crash at any point leaves either the old file or the complete new
     one, never a torn write — the discipline the campaign journal uses
-    for its header and the API uses for model snapshots
-    (:func:`atomic_save`).
+    for its header and the service uses for its registry snapshot.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -136,9 +134,3 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-
-
-def atomic_save(obj: Any, path: str) -> None:
-    """Like :func:`save`, but crash-safe (write-temp-then-rename)."""
-    atomic_write_text(path, dumps(obj))
-

@@ -28,17 +28,7 @@ from repro.models.collectives.formulas import (
     predict_linear_scatter,
     predict_linear_scatter_sweep,
 )
-from repro.models.collectives.formulas_ext import (
-    predict_binomial_bcast,
-    predict_collective,
-    predict_collective_sweep,
-    predict_linear_bcast,
-    predict_pipeline_bcast,
-    predict_rd_allgather,
-    predict_rd_allreduce,
-    predict_reduce_bcast_allreduce,
-    predict_ring_allgather,
-)
+from repro.models.collectives.formulas_ext import predict_collective, predict_collective_sweep
 from repro.models.collectives.tree_eval import predict_tree_time, predict_tree_time_batch
 from repro.models.collectives.trees import CommTree, binomial_tree, flat_tree
 
@@ -57,7 +47,6 @@ __all__ = [
     "PiecewiseLinear",
     "binomial_tree",
     "flat_tree",
-    "predict_binomial_bcast",
     "predict_binomial_gather",
     "predict_binomial_gather_sweep",
     "predict_binomial_scatter",
@@ -72,12 +61,6 @@ __all__ = [
     "predict_linear_scatterv",
     "predict_collective",
     "predict_collective_sweep",
-    "predict_linear_bcast",
-    "predict_pipeline_bcast",
-    "predict_rd_allgather",
-    "predict_rd_allreduce",
-    "predict_reduce_bcast_allreduce",
-    "predict_ring_allgather",
     "predict_tree_time",
     "predict_tree_time_batch",
 ]

@@ -9,7 +9,8 @@ three allreduce compositions — each expressed in the same serial-processor
 / parallel-network split.
 
 Each formula has one body, a ``*_sweep`` function over a whole array of
-message sizes; the scalar names are its one-size form, returning a float.
+message sizes; :func:`predict_collective` is the one-size entry to all of
+them, returning a float.
 """
 
 from __future__ import annotations
@@ -31,18 +32,8 @@ from repro.models.collectives.trees import CommTree, binomial_tree
 from repro.models.lmo_extended import ExtendedLMOModel
 
 __all__ = [
-    "predict_linear_bcast",
-    "predict_binomial_bcast",
-    "predict_pipeline_bcast",
-    "predict_ring_allgather",
-    "predict_rd_allgather",
-    "predict_rd_allreduce",
-    "predict_reduce_bcast_allreduce",
     "predict_collective",
     "predict_collective_sweep",
-    "predict_vdg_bcast",
-    "predict_ring_reduce_scatter",
-    "predict_rabenseifner_allreduce",
     "predict_linear_bcast_sweep",
     "predict_binomial_bcast_sweep",
     "predict_pipeline_bcast_sweep",
@@ -259,71 +250,8 @@ def predict_collective_sweep(
     return predictor(model, validate_nbytes_batch(sizes), **kwargs)
 
 
-# ============================================================ one-size forms
 def predict_collective(
     model: ExtendedLMOModel, operation: str, algorithm: str, nbytes: float, **kwargs
 ) -> float:
     """One-size :func:`predict_collective_sweep`."""
     return float(predict_collective_sweep(model, operation, algorithm, nbytes, **kwargs))
-
-
-def predict_linear_bcast(model: ExtendedLMOModel, nbytes: float, root: int = 0) -> float:
-    """One-size :func:`predict_linear_bcast_sweep`."""
-    return float(predict_linear_bcast_sweep(model, nbytes, root))
-
-
-def predict_binomial_bcast(
-    model: ExtendedLMOModel,
-    nbytes: float,
-    root: int = 0,
-    tree: Optional[CommTree] = None,
-) -> float:
-    """One-size :func:`predict_binomial_bcast_sweep`."""
-    return float(predict_binomial_bcast_sweep(model, nbytes, root, tree))
-
-
-def predict_pipeline_bcast(
-    model: ExtendedLMOModel,
-    nbytes: float,
-    segment_nbytes: float,
-    root: int = 0,
-) -> float:
-    """One-size :func:`predict_pipeline_bcast_sweep`."""
-    return float(predict_pipeline_bcast_sweep(model, nbytes, segment_nbytes, root))
-
-
-def predict_ring_allgather(model: ExtendedLMOModel, nbytes: float) -> float:
-    """One-size :func:`predict_ring_allgather_sweep`."""
-    return float(predict_ring_allgather_sweep(model, nbytes))
-
-
-def predict_rd_allgather(model: ExtendedLMOModel, block_nbytes: float) -> float:
-    """One-size :func:`predict_rd_allgather_sweep`."""
-    return float(predict_rd_allgather_sweep(model, block_nbytes))
-
-
-def predict_rd_allreduce(model: ExtendedLMOModel, nbytes: float) -> float:
-    """One-size :func:`predict_rd_allreduce_sweep`."""
-    return float(predict_rd_allreduce_sweep(model, nbytes))
-
-
-def predict_reduce_bcast_allreduce(
-    model: ExtendedLMOModel, nbytes: float, root: int = 0
-) -> float:
-    """One-size :func:`predict_reduce_bcast_allreduce_sweep`."""
-    return float(predict_reduce_bcast_allreduce_sweep(model, nbytes, root))
-
-
-def predict_vdg_bcast(model: ExtendedLMOModel, nbytes: float, root: int = 0) -> float:
-    """One-size :func:`predict_vdg_bcast_sweep`."""
-    return float(predict_vdg_bcast_sweep(model, nbytes, root))
-
-
-def predict_ring_reduce_scatter(model: ExtendedLMOModel, block_nbytes: float) -> float:
-    """One-size :func:`predict_ring_reduce_scatter_sweep`."""
-    return float(predict_ring_reduce_scatter_sweep(model, block_nbytes))
-
-
-def predict_rabenseifner_allreduce(model: ExtendedLMOModel, nbytes: float) -> float:
-    """One-size :func:`predict_rabenseifner_allreduce_sweep`."""
-    return float(predict_rabenseifner_allreduce_sweep(model, nbytes))

@@ -46,6 +46,8 @@ def van_de_geijn_bcast(
     Per-node traffic ~ ``2 M`` instead of the tree bcast's ``M log2 n``
     on the critical path — the large-message winner.
     """
+    if nbytes < 0:
+        raise ValueError(f"negative message size {nbytes}")
     size = comm.size
     seg_sizes = _segment_sizes(nbytes, size)
     segments = None

@@ -57,7 +57,6 @@ from repro.obs.spans import Span, SpanRecorder
 from repro.obs.stitch import list_traces, stitch_chrome_trace, unwrap_snapshot
 from repro.obs.trace import (
     TraceContext,
-    current_traceparent,
     new_context,
     parse_traceparent,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "active",
     "bucket_quantile",
     "chrome_trace",
-    "current_traceparent",
     "disable",
     "enable",
     "insight",

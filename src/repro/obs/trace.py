@@ -41,7 +41,6 @@ __all__ = [
     "TRACEPARENT_VERSION",
     "TraceContext",
     "current",
-    "current_traceparent",
     "from_environ",
     "new_context",
     "new_span_id",
@@ -180,12 +179,6 @@ _CURRENT: contextvars.ContextVar[Optional[TraceContext]] = contextvars.ContextVa
 def current() -> Optional[TraceContext]:
     """The active trace context in this task/thread, or ``None``."""
     return _CURRENT.get()
-
-
-def current_traceparent() -> Optional[str]:
-    """The active context's wire header, or ``None`` when untraced."""
-    ctx = _CURRENT.get()
-    return None if ctx is None else ctx.to_traceparent()
 
 
 def activate(ctx: Optional[TraceContext]) -> contextvars.Token:

@@ -1,7 +1,7 @@
 """Model-based optimization of collectives: algorithm selection (Fig. 6),
 gather message-splitting (Fig. 7), heterogeneous tree mapping."""
 
-from repro.optimize.gather_splitting import make_optimized_gather, optimized_gather, split_plan
+from repro.optimize.gather_splitting import optimized_gather, split_plan
 from repro.optimize.partition import (
     Partition,
     even_partition,
@@ -36,7 +36,6 @@ __all__ = [
     "run_partitioned_workload",
     "MappingResult",
     "crossover_size",
-    "make_optimized_gather",
     "optimize_mapping",
     "optimized_gather",
     "predict_algorithms",

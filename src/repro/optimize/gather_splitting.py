@@ -27,7 +27,6 @@ __all__ = [
     "split_chunk_counts",
     "predict_optimized_gather_sweep",
     "optimized_gather",
-    "make_optimized_gather",
 ]
 
 
@@ -124,14 +123,3 @@ def optimized_gather(
         result = yield from linear.gather(comm, root, chunk_nbytes, block=block)
         gathered_rounds.append(result)
     return gathered_rounds[-1]
-
-
-def make_optimized_gather(irregularity: GatherIrregularity, safety: float = 0.9):
-    """An algorithm function (registry-compatible) with bound parameters."""
-
-    def algorithm(comm: RankComm, root: int, block_nbytes: int, block: Any = None):
-        return optimized_gather(
-            comm, root, block_nbytes, irregularity, block=block, safety=safety
-        )
-
-    return algorithm

@@ -14,14 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.predict_service import predict_sweep
 
 __all__ = [
     "AlgorithmChoice",
     "predict_algorithms",
-    "predict_algorithms_sweep",
     "select_algorithm",
     "crossover_size",
 ]
@@ -67,22 +64,6 @@ def predict_algorithms(
         for algorithm in algorithms
     }
     return AlgorithmChoice(operation=operation, nbytes=nbytes, predictions=predictions)
-
-
-def predict_algorithms_sweep(
-    model,
-    operation: str,
-    sizes: Sequence[float],
-    root: int = 0,
-    algorithms: Sequence[str] = ("linear", "binomial"),
-) -> dict[str, np.ndarray]:
-    """Whole algorithm menu over a whole size sweep, one array per
-    algorithm — the vectorized counterpart of :func:`predict_algorithms`."""
-    arr = np.asarray(sizes, dtype=float)
-    return {
-        algorithm: predict_sweep(model, operation, algorithm, arr, root=root)
-        for algorithm in algorithms
-    }
 
 
 def select_algorithm(

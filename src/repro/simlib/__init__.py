@@ -29,7 +29,7 @@ from repro.simlib.kernel import (
     SimulationError,
     Simulator,
 )
-from repro.simlib.resources import PriorityResource, Resource, ResourceUsage
+from repro.simlib.resources import Resource, ResourceUsage
 from repro.simlib.store import Store
 from repro.simlib.trace import Interval, Tracer, render_gantt
 
@@ -38,7 +38,6 @@ __all__ = [
     "Interval",
     "Interrupt",
     "Process",
-    "PriorityResource",
     "Resource",
     "ResourceUsage",
     "SimulationError",

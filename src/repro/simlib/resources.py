@@ -1,8 +1,8 @@
-"""FIFO and priority resources for the DES kernel.
+"""FIFO resources for the DES kernel.
 
 A :class:`Resource` models a facility with fixed capacity (a CPU core, a NIC,
 a switch port).  Processes acquire a slot, hold it for some activity, and
-release it; waiters queue in FIFO (or priority) order.
+release it; waiters queue in FIFO order.
 
 Typical usage inside a process generator::
 
@@ -19,19 +19,19 @@ or, with the convenience wrapper::
 from __future__ import annotations
 
 import heapq
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.simlib.kernel import URGENT, Event, SimulationError, Simulator
 
-__all__ = ["Resource", "PriorityResource", "ResourceUsage"]
+__all__ = ["Resource", "ResourceUsage"]
 
 
 class ResourceUsage(Event):
     """The grant event for one resource request; token used for release."""
 
-    __slots__ = ("resource", "priority", "order")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         self.sim = resource.sim
         self.callbacks = []
         self._value = None
@@ -39,9 +39,6 @@ class ResourceUsage(Event):
         self._triggered = False
         self._processed = False
         self.resource = resource
-        self.priority = priority
-        self.order = resource._order
-        resource._order += 1
 
     def _abandon(self) -> None:
         # The requester was interrupted before the grant reached it.
@@ -49,7 +46,7 @@ class ResourceUsage(Event):
         if self in resource._users:
             resource.release(self)
         else:
-            resource._withdraw(self)
+            resource._waiters.remove(self)
 
 
 class Resource:
@@ -69,7 +66,6 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._order = 0
         self._users: set[ResourceUsage] = set()
         self._waiters: list[ResourceUsage] = []
 
@@ -90,9 +86,9 @@ class Resource:
         return bool(self._users or self._waiters)
 
     # -- acquire/release ----------------------------------------------------
-    def request(self, priority: int = 0) -> ResourceUsage:
+    def request(self) -> ResourceUsage:
         """Ask for a slot; the returned event fires when granted."""
-        usage = ResourceUsage(self, priority)
+        usage = ResourceUsage(self)
         if len(self._users) < self.capacity and not self._waiters:
             # Granted at once: trigger the usage and push its heap entry
             # directly (what ``succeed(usage, priority=URGENT)`` does).
@@ -102,7 +98,7 @@ class Resource:
             sim = self.sim
             heapq.heappush(sim._queue, (sim._now, URGENT, next(sim._ids), usage))
         else:
-            self._enqueue(usage)
+            self._waiters.append(usage)
         return usage
 
     def release(self, usage: ResourceUsage) -> None:
@@ -115,56 +111,16 @@ class Resource:
             raise SimulationError(f"release of non-held usage on {self.name or 'resource'}")
         self._users.remove(usage)
         usage._value = None
-        nxt = self._dequeue()
-        if nxt is not None:
+        if self._waiters:
+            nxt = self._waiters.pop(0)
             self._users.add(nxt)
             nxt.succeed(nxt, priority=URGENT)
 
-    def hold(self, sim: Simulator, duration: float, priority: int = 0) -> Generator:
+    def hold(self, sim: Simulator, duration: float) -> Generator:
         """Acquire, hold for ``duration``, release (generator helper)."""
-        usage = self.request(priority)
+        usage = self.request()
         yield usage
         try:
             yield sim.timeout(duration)
         finally:
             self.release(usage)
-
-    # -- queue discipline (overridden by PriorityResource) -----------------
-    def _enqueue(self, usage: ResourceUsage) -> None:
-        self._waiters.append(usage)
-
-    def _dequeue(self) -> Optional[ResourceUsage]:
-        if self._waiters:
-            return self._waiters.pop(0)
-        return None
-
-    def _withdraw(self, usage: ResourceUsage) -> None:
-        self._waiters.remove(usage)
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served by (priority, arrival order)."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        super().__init__(sim, capacity, name)
-        self._heap: list[tuple[int, int, ResourceUsage]] = []
-
-    def _enqueue(self, usage: ResourceUsage) -> None:
-        heapq.heappush(self._heap, (usage.priority, usage.order, usage))
-
-    def _dequeue(self) -> Optional[ResourceUsage]:
-        if self._heap:
-            return heapq.heappop(self._heap)[2]
-        return None
-
-    def _withdraw(self, usage: ResourceUsage) -> None:
-        self._heap.remove((usage.priority, usage.order, usage))
-        heapq.heapify(self._heap)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
-
-    @property
-    def busy(self) -> bool:
-        return bool(self._users or self._heap)

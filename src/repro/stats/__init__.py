@@ -1,4 +1,4 @@
-"""Measurement statistics: confidence intervals, adaptive repetition, fits."""
+"""Measurement statistics: confidence intervals, adaptive repetition, outlier screening."""
 
 from repro.stats.adaptive import MeasurementPolicy, measure_until_confident
 from repro.stats.ci import (
@@ -6,20 +6,13 @@ from repro.stats.ci import (
     mad_outlier_mask,
     summarize,
     t_confidence_halfwidth,
-    trimmed_mean,
 )
-from repro.stats.fitting import LinearFit, TwoSegmentFit, linear_fit, two_segment_fit
 
 __all__ = [
-    "LinearFit",
     "MeasurementPolicy",
     "SampleSummary",
-    "TwoSegmentFit",
-    "linear_fit",
     "mad_outlier_mask",
     "measure_until_confident",
     "summarize",
     "t_confidence_halfwidth",
-    "trimmed_mean",
-    "two_segment_fit",
 ]

@@ -18,7 +18,6 @@ __all__ = [
     "mad_outlier_mask",
     "summarize",
     "t_confidence_halfwidth",
-    "trimmed_mean",
 ]
 
 
@@ -78,23 +77,6 @@ def summarize(samples: Sequence[float], confidence: float = 0.95) -> SampleSumma
         minimum=float(data.min()),
         maximum=float(data.max()),
     )
-
-
-def trimmed_mean(samples: Sequence[float], trim_fraction: float = 0.1) -> float:
-    """Mean after dropping the top/bottom ``trim_fraction`` of samples.
-
-    The robust location estimate benchmarking tools reach for when OS
-    jitter spikes would dominate a plain mean but a median throws away
-    too much information.
-    """
-    if not (0 <= trim_fraction < 0.5):
-        raise ValueError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
-    data = np.sort(np.asarray(samples, dtype=float))
-    if data.size == 0:
-        raise ValueError("cannot trim an empty sample batch")
-    cut = int(data.size * trim_fraction)
-    trimmed = data[cut:data.size - cut] if cut else data
-    return float(trimmed.mean())
 
 
 def mad_outlier_mask(samples: Sequence[float], threshold: float = 5.0) -> np.ndarray:

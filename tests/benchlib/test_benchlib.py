@@ -112,6 +112,15 @@ def test_suite_skips_power_of_two_only_algorithms():
     assert "recursive_doubling" not in algos  # n=6 is not a power of two
 
 
+def test_suite_rejects_a_negative_size():
+    """Skipping a point that cannot run must not hide a bad size."""
+    from repro.benchlib import BenchmarkSuite
+
+    suite = BenchmarkSuite(quiet_cluster(n=4, seed=33), policy=MeasurementPolicy.fixed(1))
+    with pytest.raises(ValueError, match="negative message size"):
+        suite.run(operations=["bcast"], sizes=[KB, -5])
+
+
 def test_suite_unknown_point_raises():
     from repro.benchlib import SuiteResult
 

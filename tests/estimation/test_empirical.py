@@ -1,4 +1,4 @@
-"""Tests for empirical-parameter detection (M1/M2, escalations, leaps)."""
+"""Tests for empirical-parameter detection (M1/M2, escalations)."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.cluster import (
 from repro.estimation import (
     DESEngine,
     detect_gather_irregularity,
-    detect_scatter_leap,
     sweep_collective,
 )
 from repro.estimation.empirical import GatherSweep
@@ -76,32 +75,7 @@ def test_no_escalations_on_ideal_profile_raises():
         detect_gather_irregularity(sweep)
 
 
-def test_scatter_leap_detected_at_eager_threshold():
-    """Linear scatter leaps at LAM's 64 KB eager/rendezvous switch."""
-    engine = DESEngine(lam_cluster(seed=4))
-    sizes = [8 * KB, 16 * KB, 24 * KB, 32 * KB, 40 * KB, 48 * KB, 56 * KB,
-             64 * KB, 72 * KB, 80 * KB, 96 * KB]
-    sweep = sweep_collective(engine, "scatter", "linear", sizes=sizes, reps=3)
-    leap = detect_scatter_leap(sweep)
-    assert 64 * KB < leap.location <= 80 * KB
-    assert leap.magnitude > 0
-
-
-def test_no_leap_on_ideal_profile():
-    engine = DESEngine(lam_cluster(seed=5, profile=IDEAL))
-    sizes = [8 * KB, 32 * KB, 56 * KB, 64 * KB, 72 * KB, 96 * KB]
-    sweep = sweep_collective(engine, "scatter", "linear", sizes=sizes, reps=3)
-    with pytest.raises(ValueError, match="no leap"):
-        detect_scatter_leap(sweep)
-
-
 def test_sweep_statistics_accessors():
     sweep = GatherSweep(sizes=(10, 20), samples={10: [1.0, 3.0], 20: [2.0, 2.0]})
     assert sweep.medians().tolist() == [2.0, 2.0]
     assert sweep.minima().tolist() == [1.0, 2.0]
-
-
-def test_detect_scatter_leap_needs_enough_sizes():
-    sweep = GatherSweep(sizes=(1, 2, 3), samples={1: [1.0], 2: [2.0], 3: [3.0]})
-    with pytest.raises(ValueError, match="at least 4"):
-        detect_scatter_leap(sweep)

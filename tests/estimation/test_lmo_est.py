@@ -17,7 +17,6 @@ from repro.cluster import IDEAL, GroundTruth, NoiseModel, SimulatedCluster, rand
 from repro.estimation import (
     AnalyticEngine,
     DESEngine,
-    all_triplets,
     estimate_extended_lmo,
     star_triplets,
 )
@@ -142,7 +141,6 @@ def test_rejects_uncovering_triplets():
 
 
 def test_all_and_star_triplet_helpers():
-    assert len(all_triplets(6)) == 20
     star = star_triplets(6, center=0)
     assert len(star) == 10
     assert all(0 in t for t in star)
@@ -156,19 +154,6 @@ def test_serial_and_parallel_estimation_agree():
     parallel = estimate_extended_lmo(AnalyticEngine(gt), parallel=True, reps=1)
     assert np.allclose(serial.model.C, parallel.model.C)
     assert serial.estimation_time > parallel.estimation_time
-
-
-def test_original_lmo_estimator_folds_latencies():
-    from repro.estimation import estimate_original_lmo
-    from repro.models import LMOModel
-
-    gt = GroundTruth.random(5, seed=16)
-    model = estimate_original_lmo(AnalyticEngine(gt), reps=1)
-    assert isinstance(model, LMOModel)
-    # The folded fixed delays absorb ~half of each node's average latency.
-    assert (model.C > gt.C).all()
-    # Variable parts are the exact ground truth.
-    assert np.allclose(model.t, gt.t, rtol=1e-6)
 
 
 def test_probe_inside_irregular_region_corrupts_estimation():

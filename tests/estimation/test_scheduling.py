@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import IDEAL, GroundTruth, NoiseModel, SimulatedCluster, random_cluster
-from repro.estimation import AnalyticEngine, DESEngine, pack_rounds, pair_rounds, triplet_rounds
+from repro.estimation import AnalyticEngine, DESEngine, pack_rounds, pair_rounds
 from repro.estimation.experiments import roundtrip
 from repro.estimation.lmo_est import build_experiment_set
 from repro.estimation.scheduling import run_schedule
@@ -42,10 +42,17 @@ def test_pair_rounds_validation():
         pair_rounds(1)
 
 
+def _rooted_triplets(n):
+    """Every unordered triplet three times, once per root: the ``3 C(n,3)``
+    one-to-two experiments of the paper, as ``(root, a, b)``."""
+    return [rooted for i, j, k in combinations(range(n), 3)
+            for rooted in ((i, j, k), (j, i, k), (k, i, j))]
+
+
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(3, 10))
 def test_triplet_rounds_cover_all_rooted_triplets(n):
-    rounds = triplet_rounds(n)
+    rounds = pack_rounds(_rooted_triplets(n))
     seen = []
     for rnd in rounds:
         nodes = [x for triple in rnd for x in triple]
@@ -78,15 +85,13 @@ def _pack_rounds_with_sets(items):
 
 @pytest.mark.parametrize("n", range(3, 17))
 def test_triplet_rounds_match_the_set_packing(n):
-    rooted = [rooted for i, j, k in combinations(range(n), 3)
-              for rooted in ((i, j, k), (j, i, k), (k, i, j))]
-    assert triplet_rounds(n) == _pack_rounds_with_sets(rooted)
+    rooted = _rooted_triplets(n)
+    assert pack_rounds(rooted) == _pack_rounds_with_sets(rooted)
 
 
 def test_lmo_experiment_rounds_match_the_set_packing():
     n = 16
-    rooted = [rooted for i, j, k in combinations(range(n), 3)
-              for rooted in ((i, j, k), (j, i, k), (k, i, j))]
+    rooted = _rooted_triplets(n)
     experiments = build_experiment_set(list(combinations(range(n), 2)), rooted, 8192)
     nodes = [exp.nodes for exp in experiments]
     assert len(nodes) == 3600

@@ -8,7 +8,6 @@ from repro.estimation import (
     AnalyticEngine,
     DESEngine,
     estimate_heterogeneous_hockney,
-    estimate_hockney,
     estimate_loggp,
     estimate_logp,
     estimate_plogp,
@@ -40,7 +39,7 @@ def test_hockney_recovers_alpha_beta_exactly_from_des():
 
 def test_hockney_homogeneous_average():
     des, _ana, gt = make_engines(seed=2)
-    hom = estimate_hockney(des, reps=1)
+    hom = estimate_heterogeneous_hockney(des, reps=1).model.averaged()
     mask = ~np.eye(gt.n, dtype=bool)
     assert hom.alpha == pytest.approx(gt.hockney_alpha()[mask].mean(), rel=1e-9)
     assert hom.beta == pytest.approx(gt.hockney_beta()[mask].mean(), rel=1e-9)
@@ -142,28 +141,3 @@ def test_plogp_estimation_cost_exceeds_hockney():
     des2 = DESEngine(des1.cluster)
     plogp_result = estimate_plogp(des2, pair=(0, 1), reps=1)
     assert plogp_result.estimation_time > hockney_result.estimation_time
-
-
-def test_plogp_heterogeneous_overheads_match_processors():
-    """The paper's per-processor overhead averaging recovers each node's
-    own C + M t (our o_s and o_r are both the processor cost)."""
-    from repro.estimation.plogp_est import estimate_plogp_heterogeneous_overheads
-
-    des, _ana, gt = make_engines(n=4, seed=10)
-    overheads = estimate_plogp_heterogeneous_overheads(
-        des, sizes=(0, 8 * KB, 32 * KB), reps=1
-    )
-    assert set(overheads) == {0, 1, 2, 3}
-    for proc, (o_s, o_r) in overheads.items():
-        for m in (0, 8 * KB, 32 * KB):
-            assert o_s(m) == pytest.approx(gt.send_cost(proc, m), rel=1e-9)
-            assert o_r(m) == pytest.approx(gt.send_cost(proc, m), rel=1e-9)
-
-
-def test_plogp_heterogeneous_overheads_distinguish_nodes():
-    from repro.estimation.plogp_est import estimate_plogp_heterogeneous_overheads
-
-    des, _ana, gt = make_engines(n=4, seed=11)
-    overheads = estimate_plogp_heterogeneous_overheads(des, sizes=(0, 8 * KB), reps=1)
-    values = [overheads[p][0](0) for p in range(4)]
-    assert len({round(v, 9) for v in values}) == 4  # all different (het C's)

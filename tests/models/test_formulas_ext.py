@@ -4,16 +4,7 @@ import pytest
 
 from repro.cluster import IDEAL, GroundTruth, NoiseModel, SimulatedCluster, random_cluster
 from repro.models import ExtendedLMOModel
-from repro.models.collectives.formulas_ext import (
-    predict_binomial_bcast,
-    predict_collective,
-    predict_linear_bcast,
-    predict_pipeline_bcast,
-    predict_rd_allgather,
-    predict_rd_allreduce,
-    predict_reduce_bcast_allreduce,
-    predict_ring_allgather,
-)
+from repro.models.collectives.formulas_ext import predict_collective
 from repro.mpi import run_collective
 
 KB = 1024
@@ -36,14 +27,14 @@ def test_linear_bcast_prediction_tracks_des():
     cluster, model = make()
     M = 32 * KB
     observed = run_collective(cluster, "bcast", "linear", nbytes=M).time
-    check(predict_linear_bcast(model, M), observed, rel=0.1)
+    check(predict_collective(model, "bcast", "linear", M), observed, rel=0.1)
 
 
 def test_binomial_bcast_prediction_tracks_des():
     cluster, model = make(seed=41)
     M = 32 * KB
     observed = run_collective(cluster, "bcast", "binomial", nbytes=M).time
-    check(predict_binomial_bcast(model, M), observed, rel=0.15)
+    check(predict_collective(model, "bcast", "binomial", M), observed, rel=0.15)
 
 
 def test_pipeline_bcast_prediction_tracks_des():
@@ -51,28 +42,34 @@ def test_pipeline_bcast_prediction_tracks_des():
     M, seg = 256 * KB, 16 * KB
     observed = run_collective(cluster, "bcast", "pipeline", nbytes=M,
                               segment_nbytes=seg).time
-    check(predict_pipeline_bcast(model, M, seg), observed, rel=0.25)
+    check(predict_collective(model, "bcast", "pipeline", M, segment_nbytes=seg), observed,
+          rel=0.25)
 
 
 def test_pipeline_bcast_predicts_segment_tradeoff_direction():
     _cluster, model = make(seed=43)
     M = 128 * KB
-    assert predict_pipeline_bcast(model, M, 16 * KB) < predict_pipeline_bcast(model, M, M)
-    assert predict_pipeline_bcast(model, M, 16 * KB) < predict_pipeline_bcast(model, M, 256)
+
+    def pipeline(segment_nbytes):
+        return predict_collective(model, "bcast", "pipeline", M, segment_nbytes=segment_nbytes)
+
+    assert pipeline(16 * KB) < pipeline(M)
+    assert pipeline(16 * KB) < pipeline(256)
 
 
 def test_ring_allgather_prediction_tracks_des():
     cluster, model = make(seed=44)
     M = 16 * KB
     observed = run_collective(cluster, "allgather", "ring", nbytes=M).time
-    check(predict_ring_allgather(model, M), observed, rel=0.25)
+    check(predict_collective(model, "allgather", "ring", M), observed, rel=0.25)
 
 
 def test_rd_allgather_prediction_tracks_des():
     cluster, model = make(seed=45)
     M = 16 * KB
     observed = run_collective(cluster, "allgather", "recursive_doubling", nbytes=M).time
-    check(predict_rd_allgather(model, M), observed, rel=0.25)
+    check(predict_collective(model, "allgather", "recursive_doubling", M), observed,
+          rel=0.25)
 
 
 def test_rd_allreduce_prediction_tracks_des():
@@ -80,7 +77,8 @@ def test_rd_allreduce_prediction_tracks_des():
     M = 32 * KB
     observed = run_collective(cluster, "allreduce", "recursive_doubling", nbytes=M,
                               combine=lambda a, b: a).time
-    check(predict_rd_allreduce(model, M), observed, rel=0.25)
+    check(predict_collective(model, "allreduce", "recursive_doubling", M), observed,
+          rel=0.25)
 
 
 def test_reduce_bcast_allreduce_prediction_tracks_des():
@@ -88,7 +86,7 @@ def test_reduce_bcast_allreduce_prediction_tracks_des():
     M = 32 * KB
     observed = run_collective(cluster, "allreduce", "reduce_bcast", nbytes=M,
                               combine=lambda a, b: a).time
-    check(predict_reduce_bcast_allreduce(model, M), observed, rel=0.3)
+    check(predict_collective(model, "allreduce", "reduce_bcast", M), observed, rel=0.3)
 
 
 def test_predictions_rank_algorithms_like_the_des():
@@ -122,7 +120,7 @@ def test_predictions_rank_algorithms_like_the_des():
 def test_rd_requires_power_of_two():
     _cluster, model = make(n=6, seed=49)
     with pytest.raises(ValueError, match="power-of-two"):
-        predict_rd_allgather(model, KB)
+        predict_collective(model, "allgather", "recursive_doubling", KB)
 
 
 def test_predict_collective_unknown_combination():
@@ -134,28 +132,24 @@ def test_predict_collective_unknown_combination():
 def test_validation():
     _cluster, model = make(seed=51)
     with pytest.raises(ValueError):
-        predict_linear_bcast(model, -1)
+        predict_collective(model, "bcast", "linear", -1)
     with pytest.raises(ValueError):
-        predict_pipeline_bcast(model, KB, 0)
+        predict_collective(model, "bcast", "pipeline", KB, segment_nbytes=0)
 
 
 def test_vdg_bcast_prediction_tracks_des():
-    from repro.models.collectives.formulas_ext import predict_vdg_bcast
-
     cluster, model = make(seed=52)
     M = 256 * KB
     observed = run_collective(cluster, "bcast", "van_de_geijn", nbytes=M).time
-    assert predict_vdg_bcast(model, M) == pytest.approx(observed, rel=0.3)
+    check(predict_collective(model, "bcast", "van_de_geijn", M), observed, rel=0.3)
 
 
 def test_rabenseifner_prediction_tracks_des():
-    from repro.models.collectives.formulas_ext import predict_rabenseifner_allreduce
-
     cluster, model = make(seed=53)
     M = 256 * KB
     observed = run_collective(cluster, "allreduce", "rabenseifner", nbytes=M,
                               combine=lambda a, b: a).time
-    assert predict_rabenseifner_allreduce(model, M) == pytest.approx(observed, rel=0.3)
+    check(predict_collective(model, "allreduce", "rabenseifner", M), observed, rel=0.3)
 
 
 def test_composite_predictions_rank_like_the_des():

@@ -42,6 +42,11 @@ def test_vdg_bcast_payload_size_mismatch_rejected():
         run_collective(cluster, "bcast", "van_de_geijn", nbytes=100, data=b"abc")
 
 
+def test_vdg_bcast_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="negative message size"):
+        run_collective(quiet_cluster(seed=123), "bcast", "van_de_geijn", nbytes=-5)
+
+
 def test_vdg_bcast_wins_for_large_messages():
     """The scatter+allgather composition beats the binomial tree once
     bandwidth dominates (every byte crosses each wire once)."""

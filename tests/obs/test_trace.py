@@ -74,14 +74,6 @@ def test_use_restores_previous_context_even_on_raise():
     assert _trace.current() is None
 
 
-def test_current_traceparent_tracks_context():
-    assert _trace.current_traceparent() is None
-    ctx = new_context(random.Random(5))
-    with _trace.use(ctx):
-        assert _trace.current_traceparent() == ctx.to_traceparent()
-    assert _trace.current_traceparent() is None
-
-
 def test_from_environ_parses_and_degrades():
     ctx = new_context(random.Random(9))
     assert _trace.from_environ({_trace.ENV_VAR: ctx.to_traceparent()}) == ctx

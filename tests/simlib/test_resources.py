@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource semantics."""
+"""Unit tests for Resource semantics."""
 
 import pytest
 
-from repro.simlib import PriorityResource, Resource, SimulationError, Simulator
+from repro.simlib import Resource, SimulationError, Simulator
 
 
 def test_capacity_must_be_positive():
@@ -140,56 +140,6 @@ def test_busy_flag():
     assert not res.busy
 
 
-def test_priority_resource_serves_lowest_priority_first():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def blocker(sim):
-        usage = res.request()
-        yield usage
-        yield sim.timeout(10.0)
-        res.release(usage)
-
-    def worker(sim, name, prio, arrival):
-        yield sim.timeout(arrival)
-        usage = res.request(priority=prio)
-        yield usage
-        order.append(name)
-        res.release(usage)
-
-    sim.spawn(blocker(sim))
-    sim.spawn(worker(sim, "low-prio", 5, 1.0))
-    sim.spawn(worker(sim, "high-prio", 1, 2.0))  # arrives later, served first
-    sim.run()
-    assert order == ["high-prio", "low-prio"]
-
-
-def test_priority_ties_broken_by_arrival():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def blocker(sim):
-        usage = res.request()
-        yield usage
-        yield sim.timeout(10.0)
-        res.release(usage)
-
-    def worker(sim, name, arrival):
-        yield sim.timeout(arrival)
-        usage = res.request(priority=3)
-        yield usage
-        order.append(name)
-        res.release(usage)
-
-    sim.spawn(blocker(sim))
-    sim.spawn(worker(sim, "early", 1.0))
-    sim.spawn(worker(sim, "late", 2.0))
-    sim.run()
-    assert order == ["early", "late"]
-
-
 def test_release_at_time_t_usable_by_request_at_time_t():
     """A slot released at time t must be grantable to a request issued at t."""
     sim = Simulator()
@@ -290,7 +240,7 @@ def _interrupted_request_scenario(res, interrupt_first: bool):
     return log
 
 
-@pytest.mark.parametrize("cls", [Resource, PriorityResource])
+@pytest.mark.parametrize("cls", [Resource])
 def test_interrupted_queued_request_is_withdrawn(cls):
     sim = Simulator()
     res = cls(sim, capacity=1)
@@ -299,7 +249,7 @@ def test_interrupted_queued_request_is_withdrawn(cls):
     assert res.count == 0 and res.queue_length == 0
 
 
-@pytest.mark.parametrize("cls", [Resource, PriorityResource])
+@pytest.mark.parametrize("cls", [Resource])
 def test_interrupt_racing_the_grant_releases_the_slot(cls):
     sim = Simulator()
     res = cls(sim, capacity=1)

@@ -1,17 +1,13 @@
-"""Tests for confidence intervals, adaptive repetition, and fitting."""
+"""Tests for confidence intervals, adaptive repetition and outlier screening."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.stats import (
     MeasurementPolicy,
-    linear_fit,
     measure_until_confident,
     summarize,
     t_confidence_halfwidth,
-    two_segment_fit,
 )
 
 
@@ -99,70 +95,7 @@ def test_adaptive_reaches_paper_precision():
     assert summary.count < 100
 
 
-# ------------------------------------------------------------------ fitting
-def test_linear_fit_exact_line():
-    fit = linear_fit([0, 1, 2, 3], [5, 7, 9, 11])
-    assert fit.intercept == pytest.approx(5.0)
-    assert fit.slope == pytest.approx(2.0)
-    assert fit.rms == pytest.approx(0.0, abs=1e-12)
-    assert fit(10) == pytest.approx(25.0)
-
-
-def test_linear_fit_requires_two_points():
-    with pytest.raises(ValueError):
-        linear_fit([1.0], [1.0])
-
-
-def test_two_segment_fit_finds_slope_change():
-    xs = list(range(20))
-    ys = [1.0 * x for x in range(10)] + [9.0 + 5.0 * (x - 9) for x in range(10, 20)]
-    fit = two_segment_fit(xs, ys)
-    assert 9 <= fit.split_x <= 11
-    assert fit.left.slope == pytest.approx(1.0, abs=0.1)
-    assert fit.right.slope == pytest.approx(5.0, abs=0.2)
-
-
-def test_two_segment_fit_evaluates_by_side():
-    xs = [0, 1, 2, 3, 10, 11, 12, 13]
-    ys = [0, 1, 2, 3, 100, 110, 120, 130]
-    fit = two_segment_fit(xs, ys)
-    assert fit(1.0) == pytest.approx(1.0, abs=0.5)
-    assert fit(12.0) == pytest.approx(120.0, rel=0.05)
-
-
-def test_two_segment_fit_validation():
-    with pytest.raises(ValueError):
-        two_segment_fit([0, 1, 2], [0, 1, 2])
-    with pytest.raises(ValueError):
-        two_segment_fit([0, 0, 1, 2], [0, 1, 2, 3])
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    slope=st.floats(-10, 10),
-    intercept=st.floats(-10, 10),
-)
-def test_linear_fit_recovers_any_line(slope, intercept):
-    xs = np.linspace(0, 5, 12)
-    ys = intercept + slope * xs
-    fit = linear_fit(xs, ys)
-    assert fit.intercept == pytest.approx(intercept, abs=1e-6)
-    assert fit.slope == pytest.approx(slope, abs=1e-6)
-
-
 # ------------------------------------------------------------------- robust
-def test_trimmed_mean_drops_spikes():
-    from repro.stats import trimmed_mean
-
-    samples = [1.0] * 18 + [100.0, 0.0]
-    assert trimmed_mean(samples, 0.1) == pytest.approx(1.0)
-    assert trimmed_mean([5.0], 0.0) == 5.0
-    with pytest.raises(ValueError):
-        trimmed_mean(samples, 0.6)
-    with pytest.raises(ValueError):
-        trimmed_mean([], 0.1)
-
-
 def test_mad_outlier_mask_flags_the_spike():
     from repro.stats import mad_outlier_mask
 

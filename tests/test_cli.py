@@ -101,12 +101,15 @@ def test_predict_answers_the_whole_menu_as_the_api_does(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def bad_input_dir(tmp_path_factory):
-    """Saved 4-node models and a telemetry snapshot (not a model)."""
+    """Saved 4-node models, a 16-node model of the default cluster (for
+    ``drift``) and a telemetry snapshot (not a model)."""
     root = tmp_path_factory.mktemp("bad-input")
     cluster = api.load_cluster(nodes=4)
     for name in ("lmo", "hockney", "plogp"):
         outcome = api.estimate(cluster, model=name, reps=1, quick=True)
         api.save_model(outcome.model, str(root / f"{name}.json"))
+    api.save_model(ExtendedLMOModel.from_ground_truth(api.load_cluster().ground_truth),
+                   str(root / "lmo16.json"))
     (root / "snapshot.json").write_text(json.dumps(
         {"format": "repro-telemetry", "version": 1, "metrics": {}, "spans": [],
          "events": []}))
@@ -139,6 +142,27 @@ def bad_input_dir(tmp_path_factory):
                  id="partition-hockney-model"),
     pytest.param(["partition", "--model-file", "plogp.json", "--total", "1000"],
                  id="partition-plogp-model"),
+    # Values that only a layer below the facade rejects.
+    pytest.param(["measure", "--nbytes", "-5"], id="measure-negative-nbytes"),
+    pytest.param(["trace", "--nbytes", "-5"], id="trace-negative-nbytes"),
+    pytest.param(["estimate", "--quick", "--reps", "0", "--out", "x.json"],
+                 id="estimate-zero-reps"),
+    pytest.param(["drift", "--model-file", "lmo16.json", "--reps", "0"], id="drift-zero-reps"),
+    pytest.param(["chaos", "--reps", "0"], id="chaos-zero-reps"),
+    pytest.param(["drift", "--model-file", "lmo16.json", "--degrade-node", "99"],
+                 id="drift-degrade-node-out-of-range"),
+    pytest.param(["partition", "--model-file", "lmo.json", "--total", "1000", "--root", "99"],
+                 id="partition-root-out-of-range"),
+    pytest.param(["partition", "--model-file", "lmo.json", "--total", "-5"],
+                 id="partition-negative-total"),
+    pytest.param(["partition", "--model-file", "lmo.json", "--total", "1000",
+                  "--work-rates", "abc"], id="partition-bad-work-rates"),
+    pytest.param(["plan", "--model-file", "lmo.json", "bogus:1024"], id="plan-unknown-operation"),
+    pytest.param(["plan", "--model-file", "lmo.json", "bcast:-5"], id="plan-negative-nbytes"),
+    pytest.param(["plan", "--model-file", "hockney.json", "bcast:1024"],
+                 id="plan-hockney-model"),
+    pytest.param(["suite", "--sizes", "-5", "--operations", "bcast"],
+                 id="suite-negative-sizes"),
 ])
 def test_bad_input_is_one_stderr_line_and_exit_2(argv, bad_input_dir):
     proc = subprocess.run(

@@ -105,3 +105,31 @@ def test_entry_points_serve_estimate_and_campaign_without_scipy():
                 64430, 64401, 57058, 59526, 44678, 61564, 61528, 61606]
     assert sum(out["counts"]) == 1_000_000
     assert all(abs(a - b) <= 1 for a, b in zip(out["counts"], expected))
+
+
+_EXPORTS = """
+import importlib, json, pkgutil
+import repro
+
+names = ["repro"] + [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+                     if info.name.rsplit(".", 1)[-1] != "__main__"]
+exported, missing = 0, []
+for name in names:
+    module = importlib.import_module(name)
+    for attr in getattr(module, "__all__", ()):
+        exported += 1
+        if not hasattr(module, attr):
+            missing.append(f"{name}.{attr}")
+print(json.dumps({"modules": len(names), "exported": exported, "missing": missing,
+                  "scipy": scipy_modules()}))
+"""
+
+
+def test_every_exported_name_resolves():
+    """Every name in a module's ``__all__`` is an attribute of that
+    module, across every module of the package, and importing them all
+    loads no scipy."""
+    out = json.loads(_run(_EXPORTS))
+    assert out["modules"] >= 100 and out["exported"] >= 500, out
+    assert out["missing"] == []
+    assert out["scipy"] == []
